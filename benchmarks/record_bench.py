@@ -8,8 +8,9 @@ snapshot — so the perf trajectory of the DSE pipeline accumulates one
 point per commit.  The Chrome trace goes next to it for the artifact
 upload.
 
-``--mode scalar`` records the same grid through the per-point scalar
-oracle instead of the vectorized batch path, and ``--baseline`` compares
+``--mode scalar`` instead times the per-point oracle over the same grid —
+a plain ``evaluate_design`` loop over ``ScheduleCache.get`` — and
+``--baseline`` compares
 the freshly recorded entry against a previous ``BENCH_*.json`` under the
 perf-threshold flags (:func:`repro.provenance.drift.compare_bench_entries`),
 exiting non-zero on a regression.  CI's perf-smoke gate records a scalar
@@ -36,8 +37,12 @@ import platform
 import time
 from pathlib import Path
 
+from time import perf_counter
+
 from repro.accel.engine import SweepEngine
-from repro.accel.sweep import default_design_grid
+from repro.accel.power import evaluate_design
+from repro.accel.resources import ResourceLibrary
+from repro.accel.sweep import ScheduleCache, SweepStats, default_design_grid
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.trace import Tracer, set_tracer
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger, capture
@@ -48,7 +53,22 @@ PARTITIONS = (1, 4, 16, 64, 256, 1024)
 SIMPLIFICATIONS = (1, 3, 5, 7, 9, 11, 13)
 
 
-def run(jobs: int, vectorize: bool = True) -> dict:
+def scalar_oracle(kernel, grid) -> SweepStats:
+    """Time the per-point oracle: ``evaluate_design`` over ``ScheduleCache.get``."""
+    library = ResourceLibrary()
+    cache = ScheduleCache(kernel, library)
+    start = perf_counter()
+    for design in grid:
+        evaluate_design(kernel, design, library, precomputed=cache.get(design))
+    elapsed = perf_counter() - start
+    return SweepStats(
+        design_points=len(grid),
+        elapsed_s=elapsed,
+        evaluate_s=elapsed - cache.schedule_s,
+    ).merge_counters(cache.counters())
+
+
+def run(jobs: int, mode: str = "vectorized") -> dict:
     """One cold small-grid sweep under a fresh tracer and metrics registry."""
     kernel = s3d.build()
     grid = default_design_grid(
@@ -57,12 +77,14 @@ def run(jobs: int, vectorize: bool = True) -> dict:
     tracer = Tracer()
     reset_metrics()
     set_tracer(tracer)
+    engine = SweepEngine(jobs=jobs, use_cache=False)
     try:
-        engine = SweepEngine(jobs=jobs, use_cache=False, vectorize=vectorize)
-        result = engine.sweep(kernel, grid)
+        if mode == "scalar":
+            stats = scalar_oracle(kernel, grid)
+        else:
+            stats = engine.sweep(kernel, grid).stats
     finally:
         set_tracer(None)
-    stats = result.stats
     manifest = capture("bench")
     manifest.metrics = metrics().snapshot()
     manifest.stages = tracer.stage_rows()
@@ -74,7 +96,7 @@ def run(jobs: int, vectorize: bool = True) -> dict:
         pass  # ledger is best-effort; the bench entry itself still lands
     return {
         "bench": "fig13_smoke",
-        "mode": "vectorized" if vectorize else "scalar",
+        "mode": mode,
         "schema_version": SCHEMA_VERSION,
         "run_id": manifest.run_id,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -113,7 +135,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode", choices=("vectorized", "scalar"), default="vectorized",
-        help="evaluation path: batched numpy (default) or per-point scalar oracle",
+        help="what to time: the engine's batch path (default) or a per-point "
+        "evaluate_design loop (the scalar oracle)",
     )
     parser.add_argument(
         "--baseline", type=Path, default=None,
@@ -126,7 +149,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    entry = run(args.jobs, vectorize=args.mode != "scalar")
+    entry = run(args.jobs, mode=args.mode)
     tracer = entry.pop("_tracer")
     if args.trace_out is not None:
         tracer.export_chrome(args.trace_out)

@@ -8,9 +8,9 @@ concepts — the Section VI methodology end to end.
 
 The sweep runs through :class:`repro.accel.engine.SweepEngine`, which
 shards the grid across worker processes and persists schedules in a
-content-addressed cache (results are bit-identical to the serial
-``sweep()``); rerun the example to see the warm-cache effect in the
-``[dse]`` stats line.
+content-addressed cache (results are bit-identical for any ``jobs``);
+rerun the example to see the warm-cache effect in the ``[dse]`` stats
+line.
 
 Run:  python examples/accelerator_dse.py
 """

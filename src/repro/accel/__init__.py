@@ -7,11 +7,12 @@ degree, CMOS node, fusion on/off); a power model converts the schedule into
 runtime, power, and energy.  Sweeping design points reproduces Fig 13, and
 ablating one specialization concept at a time attributes gains (Fig 14).
 
-:class:`SweepEngine` executes those sweeps sharded across worker processes
-with a persistent content-addressed schedule/trace cache
-(:mod:`repro.accel.cache`); ``jobs=1`` matches the serial path exactly.
-Grids evaluate through the vectorized batch path by default
-(:mod:`repro.accel.batch`), bit-identical to the per-point scalar oracle.
+:class:`SweepEngine` is the one executor of those sweeps and attributions
+(:func:`sweep` and :func:`attribute_all` wrap it).  Grids evaluate through
+the batch path (:mod:`repro.accel.batch`), bit-identical to the per-point
+:func:`evaluate_design` oracle; ``jobs`` shards the work across worker
+processes, and an opt-in content-addressed schedule/trace cache
+(:mod:`repro.accel.cache`) persists it across runs.
 """
 
 from repro.accel.trace import TracedArray, Tracer, Value
@@ -36,12 +37,7 @@ from repro.accel.cache import (
     kernel_fingerprint,
     library_fingerprint,
 )
-from repro.accel.batch import (
-    BatchEvaluator,
-    BatchResult,
-    MacroGraph,
-    evaluate_batch,
-)
+from repro.accel.batch import BatchEvaluator, BatchResult, MacroGraph
 from repro.accel.engine import SweepEngine
 from repro.accel.attribution import (
     GainAttribution,
@@ -79,7 +75,6 @@ __all__ = [
     "BatchEvaluator",
     "BatchResult",
     "MacroGraph",
-    "evaluate_batch",
     "SweepEngine",
     "GainAttribution",
     "attribute_all",

@@ -188,28 +188,13 @@ def attribute_all(
 ) -> List[GainAttribution]:
     """Fig 14 over a kernel suite, in the given order.
 
-    With the default arguments this is the plain serial loop.  ``jobs != 1``
-    or any cache option routes through
-    :class:`repro.accel.engine.SweepEngine`, fanning kernels out across
-    worker processes and persisting schedules on disk; attribution values
-    are identical to the serial loop for any ``jobs``.
+    Runs :meth:`repro.accel.engine.SweepEngine.attribute_all` on an engine
+    with ``jobs`` worker processes (``1`` runs in-process); the persistent
+    schedule cache is used only when *cache_dir* is given or
+    ``use_cache=True``.  Values equal :func:`attribute_gains` per kernel
+    for any ``jobs``.
     """
-    if jobs != 1 or cache_dir is not None or use_cache:
-        from repro.accel.engine import SweepEngine
+    from repro.accel.engine import SweepEngine
 
-        engine = SweepEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=True if use_cache is None else use_cache,
-        )
-        return engine.attribute_all(kernels, metric=metric, **kwargs)
-    return [attribute_gains(kernel, metric=metric, **kwargs) for kernel in kernels]
-
-
-def attribution_table(
-    kernels: Sequence[TracedKernel],
-    metric: str = "throughput",
-    **kwargs,
-) -> List[GainAttribution]:
-    """Fig 14 over a kernel suite, in the given order (serial alias)."""
-    return attribute_all(kernels, metric=metric, **kwargs)
+    engine = SweepEngine(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache)
+    return engine.attribute_all(kernels, metric=metric, **kwargs)

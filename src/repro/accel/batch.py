@@ -65,7 +65,7 @@ from repro.accel.trace import TracedKernel
 from repro.obs.metrics import metrics
 from repro.obs.trace import span
 
-__all__ = ["BatchEvaluator", "BatchResult", "MacroGraph", "evaluate_batch"]
+__all__ = ["BatchEvaluator", "BatchResult", "MacroGraph"]
 
 #: Functional-unit classes in declaration order — the iteration order the
 #: scalar path's ``provisioned`` dict and leakage sum use.
@@ -532,17 +532,3 @@ class BatchEvaluator:
                 total_ops=ops_v,
                 structures=n_structs,
             )
-
-
-def evaluate_batch(
-    kernel: TracedKernel,
-    designs: Sequence[DesignPoint],
-    library: Optional[ResourceLibrary] = None,
-    cache: Optional[ScheduleCache] = None,
-) -> BatchResult:
-    """One-shot batched evaluation of *designs* (see :class:`BatchEvaluator`).
-
-    Build a :class:`BatchEvaluator` directly to amortize macro graphs and
-    scale tables across repeated grids of the same kernel.
-    """
-    return BatchEvaluator(kernel, library=library, cache=cache).evaluate(designs)

@@ -1,21 +1,24 @@
 """Parallel, persistently-cached design-space exploration engine.
 
-The Fig 13/14 pipeline evaluates thousands of design points per kernel and
-sixteen kernels per figure; done naively that is strictly sequential work
-in one process, re-scheduling every structural configuration from scratch
-each run.  :class:`SweepEngine` removes both bottlenecks:
+:class:`SweepEngine` is the one executor of the Fig 13/14 pipeline:
+:func:`repro.accel.sweep.sweep`, :func:`repro.accel.attribution.attribute_all`,
+the figure builders, the CLI and the server all run their sweeps and gain
+attributions through it.
 
+* **Batch evaluation** — a grid evaluates through
+  :class:`~repro.accel.batch.BatchEvaluator` (one schedule per unique
+  structure, power as numpy broadcasts), bit-identical to the per-point
+  :func:`~repro.accel.power.evaluate_design` oracle.
 * **Sharding** — a design grid is split into chunks and fanned out across
   ``jobs`` worker processes (:class:`concurrent.futures.ProcessPoolExecutor`);
-  multi-kernel operations (:meth:`SweepEngine.sweep_many`,
-  :meth:`SweepEngine.attribute_all`) fan out across kernels instead.
-  ``jobs=1`` is the exact serial evaluation order, so results are
-  bit-identical regardless of parallelism (the model is deterministic
-  float arithmetic and chunk results are merged in submission order).
-* **Persistence** — schedules (and traced kernels) are stored in the
-  content-addressed on-disk cache (:mod:`repro.accel.cache`), shared by
-  all workers and surviving across runs; a warm rerun skips the scheduler
-  entirely.
+  :meth:`SweepEngine.attribute_all` fans out across kernels instead.
+  ``jobs=1`` runs in-process, and results are bit-identical for any
+  ``jobs`` (the model is deterministic float arithmetic and chunk results
+  are merged in submission order).
+* **Persistence** — opt-in: given a cache directory (or ``use_cache=True``),
+  schedules and traced kernels are stored in the content-addressed on-disk
+  cache (:mod:`repro.accel.cache`), shared by all workers and surviving
+  across runs; a warm rerun skips the scheduler entirely.
 * **Streaming Pareto** — the (runtime, power) frontier is maintained
   incrementally as chunk results arrive (:class:`ParetoAccumulator`), so
   ``SweepResult.pareto_frontier()`` is ready the moment the sweep ends.
@@ -33,10 +36,11 @@ from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.accel.attribution import attribute_gains
 from repro.accel.batch import BatchEvaluator, BatchResult
 from repro.accel.cache import KernelTraceStore, ScheduleStore, resolve_cache_dir
 from repro.accel.design import DesignPoint
-from repro.accel.power import PowerReport, evaluate_design
+from repro.accel.power import PowerReport
 from repro.accel.resources import ResourceLibrary
 from repro.accel.sweep import (
     ParetoAccumulator,
@@ -85,72 +89,55 @@ def _drain_worker_spans() -> List[Span]:
     return tracer.drain() if tracer is not None else []
 
 
+def _schedule_cache(
+    kernel: TracedKernel, library: ResourceLibrary, cache_dir
+) -> ScheduleCache:
+    """A schedule cache backed by the on-disk store in *cache_dir*, if any."""
+    store = ScheduleStore(cache_dir) if cache_dir is not None else None
+    return ScheduleCache(kernel, library, store=store)
+
+
 def _init_sweep_worker(
     kernel: TracedKernel,
     library: ResourceLibrary,
     cache_dir,
-    use_cache: bool,
-    trace_spans: bool = False,
-    vectorize: bool = True,
+    trace_spans: bool,
 ) -> None:
     _init_worker_tracer(trace_spans)
-    store = ScheduleStore(cache_dir) if use_cache else None
-    cache = ScheduleCache(kernel, library, store=store)
-    _WORKER["kernel"] = kernel
-    _WORKER["library"] = library
-    _WORKER["cache"] = cache
     # One evaluator per worker process: macro graphs and scale tables are
     # amortized across every chunk the worker receives.
-    _WORKER["batch"] = BatchEvaluator(kernel, cache=cache) if vectorize else None
+    _WORKER["batch"] = BatchEvaluator(
+        kernel, cache=_schedule_cache(kernel, library, cache_dir)
+    )
+
+
+def _evaluate(
+    batch: BatchEvaluator, designs: Sequence[DesignPoint]
+) -> Tuple[BatchResult, Dict[str, float]]:
+    """Evaluate *designs*, with the schedule-cache counter delta it caused."""
+    cache = batch.cache
+    before = cache.counters()
+    start = perf_counter()
+    result = batch.evaluate(designs)
+    elapsed = perf_counter() - start
+    delta = {key: value - before[key] for key, value in cache.counters().items()}
+    delta["evaluate_s"] = elapsed - delta["schedule_s"]
+    return result, delta
 
 
 def _sweep_chunk(
     designs: Sequence[DesignPoint],
-) -> Tuple[object, Dict[str, float], List[Span]]:
+) -> Tuple[BatchResult, Dict[str, float], List[Span]]:
     """Evaluate one chunk in a worker process.
 
-    Returns either a :class:`BatchResult` (vectorized path — the parent
-    materializes ``PowerReport`` objects at the collection boundary) or a
-    tuple of reports (scalar oracle path), plus the cache-counter delta and
-    any worker spans.
+    Ships the :class:`BatchResult` column arrays back (the parent
+    materializes ``PowerReport`` objects at the collection boundary),
+    plus the cache-counter delta and any worker spans.
     """
-    kernel: TracedKernel = _WORKER["kernel"]  # type: ignore[assignment]
-    library: ResourceLibrary = _WORKER["library"]  # type: ignore[assignment]
-    cache: ScheduleCache = _WORKER["cache"]  # type: ignore[assignment]
-    batch: Optional[BatchEvaluator] = _WORKER["batch"]  # type: ignore[assignment]
-    before = cache.counters()
-    start = perf_counter()
-    with span("sweep.chunk", designs=len(designs), kernel=kernel.name):
-        if batch is not None:
-            payload: object = batch.evaluate(designs)
-        else:
-            payload = tuple(
-                evaluate_design(
-                    kernel, design, library, precomputed=cache.get(design)
-                )
-                for design in designs
-            )
-    elapsed = perf_counter() - start
-    delta = {key: value - before[key] for key, value in cache.counters().items()}
-    delta["evaluate_s"] = elapsed - delta["schedule_s"]
-    return payload, delta, _drain_worker_spans()
-
-
-def _sweep_kernel_task(
-    kernel: TracedKernel,
-    designs: Sequence[DesignPoint],
-    library: Optional[ResourceLibrary],
-    cache_dir,
-    use_cache: bool,
-    trace_spans: bool = False,
-    vectorize: bool = True,
-) -> Tuple[SweepResult, List[Span]]:
-    _init_worker_tracer(trace_spans)
-    engine = SweepEngine(
-        jobs=1, cache_dir=cache_dir, use_cache=use_cache, vectorize=vectorize
-    )
-    result = engine.sweep(kernel, designs, library)
-    return result, _drain_worker_spans()
+    batch: BatchEvaluator = _WORKER["batch"]  # type: ignore[assignment]
+    with span("sweep.chunk", designs=len(designs), kernel=batch.kernel.name):
+        result, delta = _evaluate(batch, designs)
+    return result, delta, _drain_worker_spans()
 
 
 def _attribute_kernel_task(
@@ -162,7 +149,6 @@ def _attribute_kernel_task(
     partitions: Optional[Sequence[int]],
     simplifications: Optional[Sequence[int]],
     cache_dir,
-    use_cache: bool,
     trace_spans: Optional[bool] = None,
 ):
     """Attribute one kernel; the per-kernel unit of :meth:`attribute_all`.
@@ -172,13 +158,10 @@ def _attribute_kernel_task(
     in-process, leave the caller's tracer alone" — its spans are already
     on the parent trace, so an empty list is shipped back.
     """
-    from repro.accel.attribution import attribute_gains
-
     if trace_spans is not None:
         _init_worker_tracer(trace_spans)
     lib = library if library is not None else ResourceLibrary()
-    store = ScheduleStore(cache_dir) if use_cache else None
-    cache = ScheduleCache(kernel, lib, store=store)
+    cache = _schedule_cache(kernel, lib, cache_dir)
     start = perf_counter()
     attribution = attribute_gains(
         kernel,
@@ -205,37 +188,34 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Worker processes. ``1`` (default) runs in-process with the exact
-        serial evaluation order; ``None``/``0``/negative uses all cores.
+        Worker processes. ``1`` (default) runs in-process;
+        ``None``/``0``/negative uses all cores.
     cache_dir:
-        Persistent cache directory (default: ``$REPRO_CACHE_DIR`` or
-        ``~/.cache/accelerator-wall``). Only consulted when *use_cache*.
+        Persistent cache directory. Giving one turns the on-disk
+        schedule/trace cache on.
     use_cache:
-        Enable the persistent on-disk schedule/trace cache. In-memory
-        structural memoisation is always on regardless.
+        ``None`` (default) uses the on-disk cache only when *cache_dir* is
+        given; ``True`` uses it even without one (``$REPRO_CACHE_DIR`` or
+        ``~/.cache/accelerator-wall``); ``False`` never does, even with a
+        *cache_dir*. In-memory structural memoisation is always on.
     chunk_size:
         Design points per work unit when sharding a grid; defaults to an
         even split of roughly four chunks per worker.
-    vectorize:
-        Evaluate grids through the batched numpy path
-        (:class:`repro.accel.batch.BatchEvaluator`) instead of the
-        per-point scalar loop. Results are bit-identical either way;
-        ``False`` re-enables the scalar correctness oracle.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache_dir=None,
-        use_cache: bool = True,
+        use_cache: Optional[bool] = None,
         chunk_size: Optional[int] = None,
-        vectorize: bool = True,
     ):
         self.jobs = resolve_jobs(jobs)
-        self.use_cache = bool(use_cache)
+        self.use_cache = (
+            cache_dir is not None if use_cache is None else bool(use_cache)
+        )
         self.cache_dir = resolve_cache_dir(cache_dir) if self.use_cache else None
         self.chunk_size = chunk_size
-        self.vectorize = bool(vectorize)
         #: Cumulative stats across every operation this engine ran.
         self.stats = SweepStats(jobs=self.jobs, chunks=0)
         #: Stats of the most recent operation (also on ``SweepResult.stats``).
@@ -243,16 +223,12 @@ class SweepEngine:
 
     # -- cache plumbing -------------------------------------------------------
 
-    def schedule_store(self) -> Optional[ScheduleStore]:
-        """A persistent schedule store, or ``None`` when caching is off."""
-        return ScheduleStore(self.cache_dir) if self.use_cache else None
-
     def schedule_cache(
         self, kernel: TracedKernel, library: Optional[ResourceLibrary] = None
     ) -> ScheduleCache:
         """A :class:`ScheduleCache` wired to this engine's persistence."""
         lib = library if library is not None else ResourceLibrary()
-        return ScheduleCache(kernel, lib, store=self.schedule_store())
+        return _schedule_cache(kernel, lib, self.cache_dir)
 
     def trace(self, workload, **build_kwargs) -> TracedKernel:
         """Trace a workload through the persistent kernel-trace cache.
@@ -271,7 +247,7 @@ class SweepEngine:
             store.put(workload.abbrev, kernel, **build_kwargs)
         return kernel
 
-    # -- sweeps ---------------------------------------------------------------
+    # -- sweeps (Fig 13) ------------------------------------------------------
 
     def _chunk(self, designs: List[DesignPoint]) -> List[List[DesignPoint]]:
         size = self.chunk_size
@@ -286,18 +262,6 @@ class SweepEngine:
         library: Optional[ResourceLibrary] = None,
     ) -> SweepResult:
         """Evaluate *kernel* over *designs* (default: full Table III grid)."""
-        return self._sweep(kernel, designs, library, record=True)
-
-    def _sweep(
-        self,
-        kernel: TracedKernel,
-        designs: Optional[Iterable[DesignPoint]] = None,
-        library: Optional[ResourceLibrary] = None,
-        record: bool = True,
-    ) -> SweepResult:
-        """:meth:`sweep` body; *record=False* lets :meth:`sweep_many`'s
-        serial path account the whole multi-kernel run as one operation
-        instead of double-counting each child into ``self.stats``."""
         lib = library if library is not None else ResourceLibrary()
         design_list = (
             list(designs) if designs is not None else default_design_grid()
@@ -305,161 +269,52 @@ class SweepEngine:
         tracer = get_tracer()
         start = perf_counter()
         accumulator = ParetoAccumulator()
-        # ``jobs`` is filled in below with the workers *actually used*:
-        # a <=1-point grid runs serially even on a parallel engine, and a
-        # chunked run can need fewer workers than configured.
+        reports: List[PowerReport] = []
+        # ``jobs`` is set below to the workers *actually used*: a <=1-point
+        # grid runs serially even on a parallel engine, and a chunked run
+        # can need fewer workers than configured.
         stats = SweepStats(design_points=len(design_list), jobs=1, chunks=1)
+
+        def collect(payload: BatchResult, delta: Dict[str, float]) -> None:
+            chunk_reports = payload.reports()
+            reports.extend(chunk_reports)
+            for report in chunk_reports:
+                accumulator.add_report(report)
+            stats.evaluate_s += delta.pop("evaluate_s")
+            stats.merge_counters(delta)
+
         with span("sweep", kernel=kernel.name, designs=len(design_list)):
             if self.jobs == 1 or len(design_list) <= 1:
-                cache = ScheduleCache(kernel, lib, store=self.schedule_store())
-                collected: List[PowerReport] = []
-                if self.vectorize:
-                    for report in BatchEvaluator(kernel, cache=cache).evaluate(
-                        design_list
-                    ).reports():
-                        collected.append(report)
-                        accumulator.add_report(report)
-                else:
-                    for design in design_list:
-                        report = evaluate_design(
-                            kernel, design, lib, precomputed=cache.get(design)
-                        )
-                        collected.append(report)
-                        accumulator.add_report(report)
-                stats.merge_counters(cache.counters())
-                stats.elapsed_s = perf_counter() - start
-                stats.evaluate_s = stats.elapsed_s - stats.schedule_s
-                reports = tuple(collected)
+                batch = BatchEvaluator(kernel, cache=self.schedule_cache(kernel, lib))
+                collect(*_evaluate(batch, design_list))
             else:
                 chunks = self._chunk(design_list)
                 stats.chunks = len(chunks)
-                workers = min(self.jobs, len(chunks))
-                stats.jobs = workers
-                collected = []
+                stats.jobs = min(self.jobs, len(chunks))
                 with ProcessPoolExecutor(
-                    max_workers=workers,
+                    max_workers=stats.jobs,
                     initializer=_init_sweep_worker,
-                    initargs=(
-                        kernel,
-                        lib,
-                        self.cache_dir,
-                        self.use_cache,
-                        tracer is not None,
-                        self.vectorize,
-                    ),
+                    initargs=(kernel, lib, self.cache_dir, tracer is not None),
                 ) as pool:
                     futures = [
                         pool.submit(_sweep_chunk, chunk) for chunk in chunks
                     ]
                     # Submission order == grid order, so the merged report
-                    # tuple is identical to the serial result.
+                    # tuple is identical to the in-process (jobs=1) result.
                     for future in futures:
                         with span("sweep.collect"):
                             payload, delta, worker_spans = future.result()
-                            # Vectorized workers ship column arrays; the
-                            # PowerReports materialize here, at the
-                            # collection boundary.
-                            if isinstance(payload, BatchResult):
-                                chunk_reports: Sequence[PowerReport] = (
-                                    payload.reports()
-                                )
-                            else:
-                                chunk_reports = payload  # type: ignore[assignment]
-                            collected.extend(chunk_reports)
-                            for report in chunk_reports:
-                                accumulator.add_report(report)
-                            stats.evaluate_s += delta.pop("evaluate_s")
-                            stats.merge_counters(delta)
+                            collect(payload, delta)
                         if tracer is not None:
                             tracer.absorb(worker_spans)
-                stats.elapsed_s = perf_counter() - start
-                reports = tuple(collected)
-        result = SweepResult(kernel=kernel.name, reports=reports, stats=stats)
+        stats.elapsed_s = perf_counter() - start
+        result = SweepResult(kernel=kernel.name, reports=tuple(reports), stats=stats)
         result._seed_frontier(accumulator.payloads())
-        if record:
-            self._record(stats)
+        self._record(stats)
         logger.info("sweep.done %s", kv(kernel=kernel.name, **_log_stats(stats)))
         return result
 
-    def sweep_many(
-        self,
-        kernels: Sequence[TracedKernel],
-        designs: Optional[Iterable[DesignPoint]] = None,
-        library: Optional[ResourceLibrary] = None,
-    ) -> List[SweepResult]:
-        """Sweep several kernels, fanning out across kernels when parallel.
-
-        The recorded :class:`SweepStats` describe the multi-kernel run as
-        one operation: ``elapsed_s`` is its wall time and ``jobs`` the
-        worker processes actually used (on the serial path that is the
-        largest worker count any per-kernel sweep used).
-        """
-        design_list = (
-            list(designs) if designs is not None else default_design_grid()
-        )
-        tracer = get_tracer()
-        start = perf_counter()
-        with span("sweep_many", kernels=len(kernels)):
-            if self.jobs == 1 or len(kernels) <= 1:
-                results = [
-                    self._sweep(k, design_list, library, record=False)
-                    for k in kernels
-                ]
-                stats = self._merged([r.stats for r in results])
-                stats.jobs = max((r.stats.jobs for r in results), default=1)
-            else:
-                workers = min(self.jobs, len(kernels))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _sweep_kernel_task,
-                            kernel,
-                            design_list,
-                            library,
-                            self.cache_dir,
-                            self.use_cache,
-                            tracer is not None,
-                            self.vectorize,
-                        )
-                        for kernel in kernels
-                    ]
-                    results = []
-                    for future in futures:
-                        result, worker_spans = future.result()
-                        results.append(result)
-                        if tracer is not None:
-                            tracer.absorb(worker_spans)
-                stats = self._merged([r.stats for r in results])
-                stats.jobs = workers
-        stats.elapsed_s = perf_counter() - start
-        self._record(stats)
-        logger.info(
-            "sweep_many.done %s", kv(kernels=len(kernels), **_log_stats(stats))
-        )
-        return results
-
     # -- attribution (Fig 14) -------------------------------------------------
-
-    def attribute(
-        self,
-        kernel: TracedKernel,
-        metric: str = "throughput",
-        node_nm: float = 5.0,
-        baseline_node_nm: float = 45.0,
-        library: Optional[ResourceLibrary] = None,
-        partitions: Optional[Sequence[int]] = None,
-        simplifications: Optional[Sequence[int]] = None,
-    ):
-        """Fig 14 attribution of one kernel through the engine's cache."""
-        return self.attribute_all(
-            [kernel],
-            metric=metric,
-            node_nm=node_nm,
-            baseline_node_nm=baseline_node_nm,
-            library=library,
-            partitions=partitions,
-            simplifications=simplifications,
-        )[0]
 
     def attribute_all(
         self,
@@ -474,8 +329,8 @@ class SweepEngine:
         """Fig 14 attribution over a kernel suite, fanned out across kernels.
 
         Returns :class:`repro.accel.attribution.GainAttribution` rows in
-        the given kernel order; values are identical to the serial
-        :func:`repro.accel.attribution.attribute_gains` loop for any
+        the given kernel order; values are identical to
+        :func:`repro.accel.attribution.attribute_gains` per kernel for any
         ``jobs``.
         """
         tracer = get_tracer()
@@ -485,22 +340,21 @@ class SweepEngine:
         # serial fallback (one kernel, or a jobs=1 engine) reports 1.
         workers = 1 if serial else min(self.jobs, len(kernels))
         stats = SweepStats(jobs=workers, chunks=len(kernels))
+        task_args = (
+            metric,
+            node_nm,
+            baseline_node_nm,
+            library,
+            partitions,
+            simplifications,
+            self.cache_dir,
+        )
         with span("attribute_all", kernels=len(kernels), metric=metric):
             if serial:
+                # trace_spans=None: in-process, the caller's tracer stays
+                # installed and records spans directly.
                 outcomes = [
-                    _attribute_kernel_task(
-                        kernel,
-                        metric,
-                        node_nm,
-                        baseline_node_nm,
-                        library,
-                        partitions,
-                        simplifications,
-                        self.cache_dir,
-                        self.use_cache,
-                        # trace_spans=None: in-process, the caller's tracer
-                        # stays installed and records spans directly.
-                    )
+                    _attribute_kernel_task(kernel, *task_args)
                     for kernel in kernels
                 ]
             else:
@@ -509,14 +363,7 @@ class SweepEngine:
                         pool.submit(
                             _attribute_kernel_task,
                             kernel,
-                            metric,
-                            node_nm,
-                            baseline_node_nm,
-                            library,
-                            partitions,
-                            simplifications,
-                            self.cache_dir,
-                            self.use_cache,
+                            *task_args,
                             tracer is not None,
                         )
                         for kernel in kernels
@@ -552,17 +399,8 @@ class SweepEngine:
             "use_cache": self.use_cache,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "chunk_size": self.chunk_size,
-            "vectorize": self.vectorize,
             "stats": self.stats.to_dict(),
         }
-
-    @staticmethod
-    def _merged(parts: Sequence[Optional[SweepStats]]) -> SweepStats:
-        merged = SweepStats(chunks=0)
-        for part in parts:
-            if part is not None:
-                merged.merge(part)
-        return merged
 
     def _record(self, stats: SweepStats) -> None:
         self.last_stats = stats

@@ -7,21 +7,21 @@ parameters (the schedule depends only on partition factor, fusion window and
 pipeline latency; node and simplification energy effects are applied by the
 power model afterwards).
 
-``sweep()`` runs the classic single-process path.  Pass ``jobs``/
-``cache_dir`` (or use :class:`repro.accel.engine.SweepEngine` directly) to
-shard the grid across worker processes and persist schedules on disk across
-runs; ``jobs=1`` with no cache options is exactly the original serial path.
+``sweep()`` is a thin wrapper over :class:`repro.accel.engine.SweepEngine`,
+the one executor of sweeps: ``jobs`` shards the grid across worker
+processes, and a cache directory (or ``use_cache=True``) persists schedules
+on disk across runs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -37,7 +37,7 @@ from repro.accel.design import (
     SWEEP_NODES,
     DesignPoint,
 )
-from repro.accel.power import PowerReport, evaluate_design
+from repro.accel.power import PowerReport
 from repro.accel.resources import ResourceLibrary
 from repro.accel.scheduler import Schedule, schedule as run_schedule
 from repro.accel.trace import TracedKernel
@@ -45,6 +45,9 @@ from repro.errors import ValidationError
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import metrics
 from repro.obs.trace import span
+
+if TYPE_CHECKING:
+    from repro.accel.cache import ScheduleStore
 
 logger = get_logger("accel.sweep")
 
@@ -101,7 +104,7 @@ class ScheduleCache:
         self,
         kernel: TracedKernel,
         library: ResourceLibrary,
-        store: Optional["ScheduleStoreLike"] = None,
+        store: Optional["ScheduleStore"] = None,
     ):
         self._kernel = kernel
         self._library = library
@@ -253,33 +256,6 @@ class ScheduleCache:
         }
 
 
-class ScheduleStoreLike:
-    """Protocol of the persistent backend :class:`ScheduleCache` accepts."""
-
-    hits: int
-    misses: int
-
-    def get(self, kernel_fp, library_fp, partition, fusion_window, latency_extra):
-        raise NotImplementedError
-
-    def put(
-        self, kernel_fp, library_fp, partition, fusion_window, latency_extra, schedule
-    ):
-        raise NotImplementedError
-
-
-class _ScheduleCache(ScheduleCache):
-    """Deprecated alias of :class:`ScheduleCache`; import the public name."""
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "_ScheduleCache is deprecated; use repro.accel.sweep.ScheduleCache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
 @dataclass
 class SweepStats:
     """Timing and cache instrumentation of one engine/sweep invocation.
@@ -294,7 +270,7 @@ class SweepStats:
     that produced the stats, on every path (serial, parallel,
     multi-kernel) — never a sum over children.  ``jobs`` records the
     worker processes *actually used*, so a one-point grid or a
-    single-kernel ``sweep_many`` on a ``jobs=8`` engine reports
+    single-kernel ``attribute_all`` on a ``jobs=8`` engine reports
     ``jobs=1``, not 8.  (:meth:`merge` sums ``elapsed_s``, which is only
     meaningful for lifetime aggregates such as ``SweepEngine.stats``,
     where it reads as "total operation time", not wall time.)
@@ -440,10 +416,10 @@ class ParetoAccumulator:
 class SweepResult:
     """All evaluated design points of one kernel sweep.
 
-    ``stats`` carries the engine's timing/cache instrumentation when the
-    sweep ran through :class:`repro.accel.engine.SweepEngine` (``None`` on
-    the plain serial path); it is excluded from equality so results compare
-    by their physics, not by how long they took.
+    ``stats`` carries the timing/cache instrumentation of the
+    :class:`repro.accel.engine.SweepEngine` run that produced it; it is
+    excluded from equality so results compare by their physics, not by how
+    long they took.
     """
 
     kernel: str
@@ -522,77 +498,17 @@ def sweep(
     library: Optional[ResourceLibrary] = None,
     *,
     jobs: int = 1,
-    cache: Optional[ScheduleCache] = None,
     cache_dir=None,
     use_cache: Optional[bool] = None,
-    vectorize: bool = True,
 ) -> SweepResult:
     """Evaluate *kernel* over *designs* (default: the Table III grid).
 
-    With the default arguments this is the exact serial path.  ``jobs != 1``
-    or any cache option routes through
-    :class:`repro.accel.engine.SweepEngine`: ``jobs`` worker processes,
-    optionally backed by the persistent schedule cache in *cache_dir*
-    (``use_cache=False`` disables persistence even when a directory is
-    configured).  *cache* injects a pre-built :class:`ScheduleCache` into
-    the serial path, sharing schedules with other evaluations of the same
-    kernel; it cannot be combined with the engine options (``jobs``,
-    ``cache_dir``, ``use_cache``) because each engine worker builds its
-    own cache — the injected one would be silently ignored.
-
-    *vectorize* (default on) evaluates the grid through the batched numpy
-    path (:class:`repro.accel.batch.BatchEvaluator`); results are
-    bit-identical to the per-point scalar loop, which ``vectorize=False``
-    re-enables as the correctness oracle.
+    Runs :meth:`repro.accel.engine.SweepEngine.sweep` on an engine with
+    ``jobs`` worker processes (``1`` runs in-process).  The persistent
+    schedule cache is used only when *cache_dir* is given or
+    ``use_cache=True``; ``use_cache=False`` wins over a directory.
     """
-    if jobs != 1 or cache_dir is not None or use_cache:
-        if cache is not None:
-            raise ValidationError(
-                "sweep(cache=...) cannot be combined with jobs/cache_dir/"
-                "use_cache: the engine builds one ScheduleCache per worker "
-                "process, so an injected cache would be silently ignored. "
-                "Drop the engine options or the injected cache."
-            )
-        from repro.accel.engine import SweepEngine
+    from repro.accel.engine import SweepEngine
 
-        engine = SweepEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=True if use_cache is None else use_cache,
-            vectorize=vectorize,
-        )
-        return engine.sweep(kernel, designs, library)
-
-    lib = library if library is not None else ResourceLibrary()
-    design_list = (
-        list(designs) if designs is not None else default_design_grid()
-    )
-    start = perf_counter()
-    schedule_cache = cache if cache is not None else ScheduleCache(kernel, lib)
-    before = schedule_cache.counters()
-    if vectorize:
-        from repro.accel.batch import BatchEvaluator
-
-        reports = BatchEvaluator(kernel, cache=schedule_cache).evaluate(
-            design_list
-        ).reports()
-    else:
-        reports = tuple(
-            evaluate_design(
-                kernel, design, lib, precomputed=schedule_cache.get(design)
-            )
-            for design in design_list
-        )
-    elapsed = perf_counter() - start
-    delta = {
-        key: value - before[key]
-        for key, value in schedule_cache.counters().items()
-    }
-    stats = SweepStats(
-        design_points=len(design_list),
-        jobs=1,
-        chunks=1,
-        elapsed_s=elapsed,
-        evaluate_s=elapsed - delta["schedule_s"],
-    ).merge_counters(delta)
-    return SweepResult(kernel=kernel.name, reports=reports, stats=stats)
+    engine = SweepEngine(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache)
+    return engine.sweep(kernel, designs, library)

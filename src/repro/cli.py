@@ -79,15 +79,15 @@ def _dse_engine(args):
     from repro.accel.cache import ENV_CACHE_DIR
     from repro.accel.engine import SweepEngine
 
-    cache_dir = getattr(args, "cache_dir", None)
-    use_cache = not getattr(args, "no_cache", False) and (
-        cache_dir is not None or os.environ.get(ENV_CACHE_DIR) is not None
-    )
+    use_cache: Optional[bool] = None  # on only when --cache-dir is given
+    if getattr(args, "no_cache", False):
+        use_cache = False
+    elif ENV_CACHE_DIR in os.environ:
+        use_cache = True
     return SweepEngine(
         jobs=getattr(args, "jobs", 1),
-        cache_dir=cache_dir,
+        cache_dir=getattr(args, "cache_dir", None),
         use_cache=use_cache,
-        vectorize=not getattr(args, "no_vectorize", False),
     )
 
 
@@ -114,11 +114,6 @@ def _add_dse_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent DSE cache even if a directory is set",
-    )
-    parser.add_argument(
-        "--no-vectorize", action="store_true",
-        help="evaluate sweeps through the per-point scalar oracle instead "
-        "of the batched numpy path (results are bit-identical)",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -14,8 +14,8 @@ Three cooperating modules:
   their own spans, which the engine ships back with chunk results and
   merges into the parent trace.
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters,
-  gauges, and timers.  Cache hit/miss/write/drop counts and per-stage
-  times are published here; ``repro stats`` renders the snapshot.
+  gauges, and latency histograms.  Cache hit/miss/write/drop counts and
+  per-stage times are published here; ``repro stats`` renders the snapshot.
 * :mod:`repro.obs.log` — ``key=value`` structured logging on ``repro.*``
   loggers, configured once from the CLI ``-v``/``-vv`` flags.
 

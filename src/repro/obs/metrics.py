@@ -1,4 +1,4 @@
-"""Process-wide registry of named counters, gauges, timers, and histograms.
+"""Process-wide registry of named counters, gauges, and histograms.
 
 Instrumented code publishes what it is doing under stable dotted names —
 ``cache.schedules.hits``, ``engine.sweeps``, ``serve.latency_s`` — and
@@ -6,15 +6,15 @@ operators read the aggregate through :meth:`MetricsRegistry.snapshot`
 (machine-readable) or :meth:`MetricsRegistry.render` (a table, surfaced
 by the ``repro stats`` CLI command).
 
-Four instrument kinds:
+Three instrument kinds:
 
 * :class:`Counter` — a monotonically increasing integer.
 * :class:`Gauge` — a point-in-time float, last write wins.
-* :class:`Timer` — accumulated duration + observation count (mean only).
 * :class:`Histogram` — a log-linear-bucket latency distribution with
   :meth:`~Histogram.quantile` estimates, mergeable across processes.
-  Hot-path request/stage timings use this so operators see p50/p99, not
-  just means (METHODOLOGY §15).
+  Every timing is recorded in one (:meth:`Histogram.observe` or
+  :meth:`Histogram.time`), so operators see p50/p99, not just means
+  (METHODOLOGY §15).
 
 Every instrument takes its own lock around mutation, so concurrent
 threads in the serve harness never lose increments — the registry lock
@@ -27,10 +27,10 @@ the whole run; the ``cache.*`` families count only the calling process's
 own cache traffic (see METHODOLOGY §10).
 
 Snapshots are plain dicts, so they can be persisted as JSON and merged
-with :meth:`MetricsRegistry.absorb` (counters, timers, and histograms
-add; gauges keep the absorbed value).  A histogram snapshot round-trips
-through JSON bit-exactly: bucket counts are integers and the sum is a
-float JSON preserves.
+with :meth:`MetricsRegistry.absorb` (counters and histograms add; gauges
+keep the absorbed value; entries of any other kind are skipped).  A
+histogram snapshot round-trips through JSON bit-exactly: bucket counts are
+integers and the sum is a float JSON preserves.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Timer",
     "bucket_bounds",
     "bucket_index",
     "metrics",
@@ -81,30 +80,6 @@ class Gauge:
         with self._lock:
             self.value = float(value)
             return self.value
-
-
-class Timer:
-    """Accumulated duration with an observation count."""
-
-    __slots__ = ("count", "total_s", "_lock")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self.total_s += float(seconds)
-
-    def time(self) -> "_TimerContext":
-        """Context manager observing the duration of its body."""
-        return _TimerContext(self)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
 
 
 class _TimerContext:
@@ -288,7 +263,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._timers: Dict[str, Timer] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -306,13 +280,6 @@ class MetricsRegistry:
             with self._lock:
                 return self._gauges.setdefault(name, Gauge())
 
-    def timer(self, name: str) -> Timer:
-        try:
-            return self._timers[name]
-        except KeyError:
-            with self._lock:
-                return self._timers.setdefault(name, Timer())
-
     def histogram(self, name: str) -> Histogram:
         try:
             return self._histograms[name]
@@ -325,7 +292,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()
 
     # -- snapshots -------------------------------------------------------------
@@ -336,25 +302,17 @@ class MetricsRegistry:
         with self._lock:
             counters = list(self._counters.items())
             gauges = list(self._gauges.items())
-            timers = list(self._timers.items())
             histograms = list(self._histograms.items())
         for name, counter in counters:
             out[name] = {"type": "counter", "value": counter.value}
         for name, gauge in gauges:
             out[name] = {"type": "gauge", "value": gauge.value}
-        for name, timer in timers:
-            with timer._lock:
-                out[name] = {
-                    "type": "timer",
-                    "count": timer.count,
-                    "total_s": timer.total_s,
-                }
         for name, histogram in histograms:
             out[name] = histogram.snapshot_entry()
         return out
 
     def absorb(self, snapshot: Dict[str, Dict[str, object]]) -> None:
-        """Merge a :meth:`snapshot` (counters/timers/histograms add, gauges
+        """Merge a :meth:`snapshot` (counters/histograms add, gauges
         overwrite).
 
         Tolerant of snapshots written by other library versions: entries
@@ -371,13 +329,6 @@ class MetricsRegistry:
                     self.counter(name).inc(int(entry.get("value", 0)))
                 elif kind == "gauge":
                     self.gauge(name).set(float(entry.get("value", 0.0)))
-                elif kind == "timer":
-                    count = int(entry.get("count", 0))
-                    total_s = float(entry.get("total_s", 0.0))
-                    timer = self.timer(name)
-                    with timer._lock:
-                        timer.count += count
-                        timer.total_s += total_s
                 elif kind == "histogram":
                     # Validate into a scratch first so a malformed entry
                     # doesn't leave an empty instrument behind.
@@ -406,13 +357,8 @@ class MetricsRegistry:
         width = max(len(name) for name in snap)
         for name in sorted(snap):
             entry = snap[name]
-            kind = entry.get("type", "?")
-            if kind == "timer":
-                count = int(entry.get("count", 0))
-                total = float(entry.get("total_s", 0.0))
-                mean_ms = 1e3 * total / count if count else 0.0
-                value = f"{total:.4f}s over {count} calls ({mean_ms:.3f} ms/call)"
-            elif kind == "histogram":
+            kind = entry.get("type") if isinstance(entry, dict) else None
+            if kind == "histogram":
                 scratch = Histogram()
                 try:
                     scratch.absorb_entry(entry)
@@ -424,10 +370,12 @@ class MetricsRegistry:
                         f"(p50 {1e3 * scratch.quantile(0.5):.3f} ms, "
                         f"p99 {1e3 * scratch.quantile(0.99):.3f} ms)"
                     )
-            else:
+            elif kind in ("counter", "gauge"):
                 value = f"{entry.get('value', 0)}"
+            else:
+                continue  # a kind this version does not record, as in absorb
             lines.append(f"{name:<{width}}  {kind:<7}  {value}")
-        return "\n".join(lines)
+        return "\n".join(lines) or "(no metrics recorded)"
 
 
 # -- the process-wide registry ------------------------------------------------

@@ -209,21 +209,23 @@ def fig13_stencil_sweep(
 ) -> List[Dict[str, float]]:
     """Fig 13: 3D-stencil design points in the runtime-power space.
 
-    *engine* is an optional :class:`repro.accel.engine.SweepEngine`; when
-    given, the sweep runs sharded/cached through it (same values as the
-    serial path) and the engine's ``last_stats`` reflect this figure.
+    The sweep runs on *engine* (a :class:`repro.accel.engine.SweepEngine`;
+    default: serial and uncached), whose ``last_stats`` then reflect this
+    figure.
     """
-    from repro.accel.sweep import default_design_grid, sweep
+    from repro.accel.engine import SweepEngine
+    from repro.accel.sweep import default_design_grid
     from repro.workloads import get_workload
 
-    workload = get_workload("S3D")
-    kernel = engine.trace(workload) if engine is not None else workload.build()
+    if engine is None:
+        engine = SweepEngine()
+    kernel = engine.trace(get_workload("S3D"))
     grid = default_design_grid(
         nodes=nodes if nodes is not None else (45.0, 32.0, 22.0, 14.0, 10.0, 7.0, 5.0),
         partitions=partitions,
         simplifications=simplifications,
     )
-    result = engine.sweep(kernel, grid) if engine is not None else sweep(kernel, grid)
+    result = engine.sweep(kernel, grid)
     return [
         {
             "node_nm": r.design.node_nm,
@@ -246,11 +248,11 @@ def fig14_gain_attribution(
 ) -> List[Dict[str, object]]:
     """Fig 14: per-kernel gain attribution across specialization concepts.
 
-    *engine* is an optional :class:`repro.accel.engine.SweepEngine`; when
-    given, kernels are traced through its persistent cache and attribution
-    fans out across worker processes (identical values to the serial loop).
+    Kernels are traced and attributed on *engine* (a
+    :class:`repro.accel.engine.SweepEngine`; default: serial and uncached),
+    with identical values for any ``jobs``.
     """
-    from repro.accel.attribution import attribute_all
+    from repro.accel.engine import SweepEngine
     from repro.workloads import WORKLOADS, get_workload
 
     workloads = (
@@ -258,21 +260,14 @@ def fig14_gain_attribution(
         if workload_abbrevs is not None
         else list(WORKLOADS)
     )
-    if engine is not None:
-        kernels = [engine.trace(workload) for workload in workloads]
-        attributions = engine.attribute_all(
-            kernels,
-            metric=metric,
-            partitions=partitions,
-            simplifications=simplifications,
-        )
-    else:
-        attributions = attribute_all(
-            [workload.build() for workload in workloads],
-            metric=metric,
-            partitions=partitions,
-            simplifications=simplifications,
-        )
+    if engine is None:
+        engine = SweepEngine()
+    attributions = engine.attribute_all(
+        [engine.trace(workload) for workload in workloads],
+        metric=metric,
+        partitions=partitions,
+        simplifications=simplifications,
+    )
     return [
         {
             "workload": workload.abbrev,

@@ -122,6 +122,15 @@ class ServeConfig:
     snapshot_path: Optional[str] = None           # pickled ServeSnapshot
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line past the stream limit is a
+    framing error (asyncio reports the overrun as :class:`ValueError`)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ConnectionError("request line too long") from None
+
+
 class ServeApp:
     """One serving process: loaded state + HTTP front end."""
 
@@ -796,9 +805,13 @@ class ServeApp:
     async def _read_request(
         self, reader: asyncio.StreamReader, peer_host: str
     ) -> Tuple[Optional[Request], bool]:
-        """Parse one request; ``(None, False)`` on a cleanly closed socket."""
+        """Parse one request; ``(None, False)`` on a cleanly closed socket.
+
+        Malformed framing raises :class:`ConnectionError`, which closes the
+        connection without a response.
+        """
         try:
-            line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT_S)
+            line = await asyncio.wait_for(_read_line(reader), IDLE_TIMEOUT_S)
         except asyncio.TimeoutError:
             return None, False
         if not line.strip():
@@ -810,7 +823,7 @@ class ServeApp:
         headers: Dict[str, str] = {}
         total = len(line)
         while True:
-            header_line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT_S)
+            header_line = await asyncio.wait_for(_read_line(reader), IDLE_TIMEOUT_S)
             total += len(header_line)
             if total > MAX_HEADER_BYTES:
                 raise ConnectionError("header block too large")
@@ -818,11 +831,17 @@ class ServeApp:
                 break
             name, _, value = header_line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ConnectionError("malformed Content-Length")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise ConnectionError("request body too large")
         body = await reader.readexactly(length) if length else b""
-        path, query = Request.parse_target(target)
+        try:
+            path, query = Request.parse_target(target)
+        except ValueError:  # urlsplit rejects e.g. an unclosed "[" host
+            raise ConnectionError("malformed request target") from None
         client = headers.get("x-client-id", peer_host)
         keep_alive = (
             http_version != "HTTP/1.0"
@@ -940,16 +959,21 @@ class ServeApp:
             kv(inflight=self.inflight, uptime_s=time.time() - self.started_unix),
         )
 
-    async def serve_until_shutdown(self, install_signals: bool = True) -> None:
-        """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`), then drain."""
+    async def serve_until_shutdown(self, ready_line: Optional[str] = None) -> None:
+        """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`), then drain.
+
+        *ready_line* is printed once the signal handlers are installed, so
+        a SIGTERM sent on seeing it always drains.
+        """
         await self.start_server()
-        if install_signals:
-            loop = asyncio.get_event_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    pass  # non-main thread or platform without signal support
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, self.request_shutdown)
+            except (NotImplementedError, RuntimeError):
+                pass  # non-main thread or platform without signal support
+        if ready_line is not None:
+            print(ready_line, flush=True)
         assert self._shutdown is not None
         await self._shutdown.wait()
         self.draining = True
@@ -967,12 +991,12 @@ class ServeApp:
             sock.listen(128)
             self.listen_sock = sock
         port = self.listen_sock.getsockname()[1]
-        print(
-            f"serving on http://{self.config.host}:{port} "
-            f"[run] {self.manifest.run_id}",
-            flush=True,
+        asyncio.run(
+            self.serve_until_shutdown(
+                f"serving on http://{self.config.host}:{port} "
+                f"[run] {self.manifest.run_id}"
+            )
         )
-        asyncio.run(self.serve_until_shutdown())
         print("drained, bye")
         return 0
 

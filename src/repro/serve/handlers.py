@@ -92,8 +92,7 @@ def _histogram_series(entry: Mapping[str, object]) -> List[tuple]:
 def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` as Prometheus text format.
 
-    Counters and gauges map directly; timers become summaries with
-    ``_count`` and ``_sum`` series; histograms become proper histogram
+    Counters and gauges map directly; histograms become proper histogram
     families with cumulative ``_bucket{le="..."}`` series over the
     log-linear bucket bounds plus ``_sum`` and ``_count``.
     """
@@ -108,10 +107,6 @@ def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
         elif kind == "gauge":
             lines.append(f"# TYPE {prom} gauge")
             lines.append(f"{prom} {float(entry.get('value', 0.0)):g}")
-        elif kind == "timer":
-            lines.append(f"# TYPE {prom} summary")
-            lines.append(f"{prom}_count {int(entry.get('count', 0))}")
-            lines.append(f"{prom}_sum {float(entry.get('total_s', 0.0)):.9g}")
         elif kind == "histogram":
             lines.append(f"# TYPE {prom} histogram")
             for le, cumulative in _histogram_series(entry):
@@ -157,19 +152,6 @@ def render_prometheus_multi(
                     lines.append(
                         f'{prom}{{worker="{worker}"}} '
                         f"{float(entry.get('value', 0.0)):g}"
-                    )
-        elif kind == "timer":
-            lines.append(f"# TYPE {prom} summary")
-            for worker in sorted(snapshots):
-                entry = snapshots[worker].get(name)
-                if entry is not None:
-                    lines.append(
-                        f'{prom}_count{{worker="{worker}"}} '
-                        f"{int(entry.get('count', 0))}"
-                    )
-                    lines.append(
-                        f'{prom}_sum{{worker="{worker}"}} '
-                        f"{float(entry.get('total_s', 0.0)):.9g}"
                     )
         elif kind == "histogram":
             lines.append(f"# TYPE {prom} histogram")
@@ -677,8 +659,8 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
     def compute() -> Dict[str, Any]:
         kernel = app.kernel(workload)
         partitions, simplifications = app.fast_subsets(full)
-        attribution = app.engine.attribute(
-            kernel,
+        (attribution,) = app.engine.attribute_all(
+            [kernel],
             metric=metric,
             node_nm=float(body.get("node_nm", 5.0)),
             baseline_node_nm=float(body.get("baseline_node_nm", 45.0)),

@@ -193,7 +193,7 @@ class Supervisor:
         else:
             app.listen_sock = self._listen_sock
         app.internal_sock = self._internal_socks[index]
-        asyncio.run(app.serve_until_shutdown(install_signals=True))
+        asyncio.run(app.serve_until_shutdown())
         return 0
 
     def _slot_of(self, pid: int) -> Optional[int]:

@@ -292,15 +292,6 @@ class TestWarmSweep:
 
 
 class TestDeprecatedAlias:
-    def test_underscore_name_warns_but_works(self, kernel):
-        from repro.accel.sweep import _ScheduleCache
-
-        with pytest.warns(DeprecationWarning):
-            cache = _ScheduleCache(kernel, ResourceLibrary())
-        design = default_design_grid(**GRID)[0]
-        reference = ScheduleCache(kernel, ResourceLibrary())
-        assert cache.get(design).cycles == reference.get(design).cycles
-
     def test_public_name_does_not_warn(self, kernel):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

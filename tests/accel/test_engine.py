@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 
 from repro.accel.attribution import attribute_all, attribute_gains
 from repro.accel.engine import SweepEngine, resolve_jobs
-from repro.accel.resources import ResourceLibrary
 from repro.accel.sweep import (
     ParetoAccumulator,
-    ScheduleCache,
     SweepStats,
     default_design_grid,
     pareto_points,
     sweep,
 )
-from repro.errors import ValidationError
 from repro.workloads import s3d, trd
 
 GRID = dict(
@@ -89,14 +86,6 @@ class TestSweepEquivalence:
         reference = pareto_points(serial.runtime_power_points())
         assert [p for _, _, p in reference] == result.pareto_frontier()
 
-    def test_sweep_many_matches_individual(self, grid):
-        kernels = [trd.build(n=16), s3d.build()]
-        engine = SweepEngine(jobs=2, use_cache=False)
-        results = engine.sweep_many(kernels, grid)
-        assert [r.kernel for r in results] == [k.name for k in kernels]
-        for kernel, result in zip(kernels, results):
-            assert result.reports == sweep(kernel, grid).reports
-
 
 class TestAttributionEquivalence:
     def test_parallel_matches_serial(self):
@@ -118,9 +107,9 @@ class TestAttributionEquivalence:
     def test_engine_attribute_single(self):
         kernel = trd.build(n=16)
         engine = SweepEngine(jobs=1, use_cache=False)
-        assert engine.attribute(kernel, **SMALL) == attribute_gains(
-            kernel, **SMALL
-        )
+        assert engine.attribute_all([kernel], **SMALL) == [
+            attribute_gains(kernel, **SMALL)
+        ]
 
 
 class TestStatsAccounting:
@@ -150,25 +139,6 @@ class TestStatsAccounting:
         assert result.stats.chunks == 1
         assert result.stats.jobs == 1
 
-    def test_sweep_many_serial_records_once(self, grid):
-        kernels = [trd.build(n=16), s3d.build()]
-        engine = SweepEngine(jobs=1, use_cache=False)
-        results = engine.sweep_many(kernels, grid)
-        stats = engine.last_stats
-        assert stats is not None
-        assert stats.jobs == 1  # serial path: one worker actually used
-        # One recorded operation covering all kernels, not one per kernel.
-        assert engine.stats.design_points == len(grid) * len(kernels)
-        assert stats.design_points == len(grid) * len(kernels)
-        # Wall-clock elapsed: the whole run, bounded below by any child.
-        assert stats.elapsed_s >= max(r.stats.elapsed_s for r in results)
-
-    def test_sweep_many_parallel_reports_workers_used(self, grid):
-        kernels = [trd.build(n=16), s3d.build()]
-        engine = SweepEngine(jobs=8, use_cache=False)
-        engine.sweep_many(kernels, grid)
-        assert engine.last_stats.jobs == 2  # min(jobs, kernels)
-
     def test_attribute_all_serial_reports_one_job(self):
         kernels = [trd.build(n=16), s3d.build()]
         engine = SweepEngine(jobs=1, use_cache=False)
@@ -182,28 +152,22 @@ class TestStatsAccounting:
         assert engine.last_stats.jobs == 2  # min(jobs, kernels)
 
 
-class TestInjectedCacheGuard:
-    def test_sweep_rejects_cache_with_jobs(self, kernel, grid):
-        cache = ScheduleCache(kernel, ResourceLibrary())
-        with pytest.raises(ValidationError, match="silently ignored"):
-            sweep(kernel, grid, cache=cache, jobs=2)
+class TestCacheOptIn:
+    """The on-disk cache is used only when a directory or use_cache=True asks."""
 
-    def test_sweep_rejects_cache_with_cache_dir(self, kernel, grid, tmp_path):
-        cache = ScheduleCache(kernel, ResourceLibrary())
-        with pytest.raises(ValidationError):
-            sweep(kernel, grid, cache=cache, cache_dir=tmp_path)
+    def test_default_engine_opens_no_disk_cache(self):
+        engine = SweepEngine(jobs=2)
+        assert engine.use_cache is False
+        assert engine.cache_dir is None
 
-    def test_sweep_rejects_cache_with_use_cache(self, kernel, grid):
-        cache = ScheduleCache(kernel, ResourceLibrary())
-        with pytest.raises(ValidationError):
-            sweep(kernel, grid, cache=cache, use_cache=True)
-
-    def test_sweep_accepts_cache_serial_uncached(self, kernel, serial):
-        cache = ScheduleCache(kernel, ResourceLibrary())
-        result = sweep(kernel, default_design_grid(**GRID), cache=cache)
-        assert result.reports == serial.reports
-        # The injected cache was actually consulted.
-        assert cache.memo_hits + cache.memo_misses > 0
+    def test_parallel_wrappers_leave_the_default_directory_alone(
+        self, kernel, grid, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        result = sweep(kernel, grid, jobs=2)
+        assert result.stats.cache_hits + result.stats.cache_misses == 0
+        attribute_all([kernel, s3d.build()], jobs=2, **SMALL)
+        assert not (tmp_path / "default").exists()
 
 
 class TestSweepStats:

@@ -7,14 +7,16 @@ import pytest
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    Histogram,
     MetricsRegistry,
-    Timer,
     metrics,
     reset_metrics,
 )
 
 
 class TestInstruments:
+    """Counters, gauges, and histograms, which are the timing instrument."""
+
     def test_counter_increments(self):
         counter = Counter()
         assert counter.inc() == 1
@@ -28,20 +30,20 @@ class TestInstruments:
         assert gauge.value == 1.0
 
     def test_timer_observe_and_mean(self):
-        timer = Timer()
+        timer = Histogram()
         assert timer.mean_s == 0.0  # no division by zero when unused
         timer.observe(0.2)
         timer.observe(0.4)
         assert timer.count == 2
-        assert timer.total_s == pytest.approx(0.6)
+        assert timer.sum_s == pytest.approx(0.6)
         assert timer.mean_s == pytest.approx(0.3)
 
     def test_timer_context_manager(self):
-        timer = Timer()
+        timer = Histogram()
         with timer.time():
             pass
         assert timer.count == 1
-        assert timer.total_s >= 0.0
+        assert timer.sum_s >= 0.0
 
 
 class TestRegistry:
@@ -49,7 +51,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
-        assert registry.timer("t") is registry.timer("t")
+        assert registry.histogram("h") is registry.histogram("h")
 
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
@@ -61,32 +63,30 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("cache.hits").inc(3)
         registry.gauge("engine.jobs").set(2)
-        registry.timer("schedule").observe(0.5)
+        registry.histogram("schedule").observe(0.5)
         snap = json.loads(json.dumps(registry.snapshot()))
         assert snap["cache.hits"] == {"type": "counter", "value": 3}
         assert snap["engine.jobs"] == {"type": "gauge", "value": 2.0}
-        assert snap["schedule"] == {
-            "type": "timer",
-            "count": 1,
-            "total_s": 0.5,
-        }
+        assert snap["schedule"]["type"] == "histogram"
+        assert snap["schedule"]["count"] == 1
+        assert snap["schedule"]["sum"] == 0.5
 
     def test_absorb_adds_counters_and_timers_overwrites_gauges(self):
         source = MetricsRegistry()
         source.counter("hits").inc(2)
         source.gauge("jobs").set(4)
-        source.timer("schedule").observe(1.0)
+        source.histogram("schedule").observe(1.0)
 
         target = MetricsRegistry()
         target.counter("hits").inc(1)
         target.gauge("jobs").set(1)
-        target.timer("schedule").observe(0.5)
+        target.histogram("schedule").observe(0.5)
         target.absorb(source.snapshot())
 
         assert target.counter("hits").value == 3
         assert target.gauge("jobs").value == 4.0
-        assert target.timer("schedule").count == 2
-        assert target.timer("schedule").total_s == pytest.approx(1.5)
+        assert target.histogram("schedule").count == 2
+        assert target.histogram("schedule").sum_s == pytest.approx(1.5)
 
     def test_absorb_skips_unknown_kind(self):
         # Regression: a snapshot from a newer library version used to raise.
@@ -105,14 +105,13 @@ class TestRegistry:
         registry.absorb({
             "not-a-dict": 7,
             "bad-counter": {"type": "counter", "value": "NaNish"},
-            "bad-timer": {"type": "timer", "count": None, "total_s": 1.0},
+            "bad-histogram": {"type": "histogram", "count": None, "sum": 1.0},
             "ok": {"type": "gauge", "value": 3.5},
         })
         assert registry.gauge("ok").value == 3.5
         assert registry.counter("metrics.absorb.skipped").value == 3
-        # A half-bad timer entry must not half-apply.
-        assert registry.timer("bad-timer").count == 0
-        assert registry.timer("bad-timer").total_s == 0.0
+        # A half-bad histogram entry must not half-apply.
+        assert "bad-histogram" not in registry.snapshot()
 
     def test_absorb_clean_snapshot_has_no_skip_counter(self):
         registry = MetricsRegistry()
@@ -126,15 +125,30 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("b.count").inc(7)
         registry.gauge("a.gauge").set(1.5)
-        registry.timer("c.timer").observe(0.25)
+        registry.histogram("c.hist").observe(0.25)
         lines = registry.render().splitlines()
         assert [line.split()[0] for line in lines] == [
             "a.gauge",
             "b.count",
-            "c.timer",
+            "c.hist",
         ]
         assert "7" in lines[1]
         assert "over 1 calls" in lines[2]
+
+    def test_timer_entries_of_older_snapshots_are_skipped(self):
+        # The Timer instrument is gone; a persisted snapshot that still
+        # holds its entries reads like any other unknown kind.
+        old = {
+            "hits": {"type": "counter", "value": 2},
+            "schedule": {"type": "timer", "count": 3, "total_s": 1.5},
+        }
+        assert MetricsRegistry().render(old).splitlines() == [
+            "hits      counter  2"
+        ]
+        registry = MetricsRegistry()
+        registry.absorb(old)
+        assert "schedule" not in registry.snapshot()
+        assert registry.counter("metrics.absorb.skipped").value == 1
 
     def test_render_accepts_persisted_snapshot(self):
         registry = MetricsRegistry()

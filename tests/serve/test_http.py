@@ -8,10 +8,15 @@ between runs.
 
 from __future__ import annotations
 
+import asyncio
 import concurrent.futures
 import json
+import socket
+from typing import List
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.provenance.drift import compare_golden, flatten_scalars
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger
@@ -351,3 +356,84 @@ class TestBatchingEquivalence:
         for body, (status, payload, _) in zip(bodies, responses):
             assert status == 200
             assert payload["data"]["design"]["partition"] == body["partition"]
+
+
+# -- request framing fuzz ---------------------------------------------------------
+
+#: Exceptions the connection handler turns into a close without a response.
+CLOSE = (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError)
+
+_heads = st.builds(
+    "{} {} HTTP/1.1\r\nContent-Length: {}\r\n{}\r\n".format,
+    st.sampled_from(["GET", "POST", "DELETE", "PUT", "get", ""]),
+    st.one_of(
+        st.sampled_from(
+            ["/healthz", "/sweeps", "/evaluate", "/cmos/gains?node=5", "//[", "*"]
+        ),
+        st.text(max_size=24).map(lambda text: "/" + text),
+    ),
+    st.one_of(
+        st.sampled_from(["abc", "-5", "", "+3", "1e3", "0x10", "\u00b2", "9" * 12]),
+        st.integers(0, 64).map(str),
+    ),
+    st.sampled_from(["", "Connection: close\r\n", "Transfer-Encoding: chunked\r\n"]),
+).map(lambda head: head.encode("utf-8"))
+
+raw_requests = st.one_of(
+    st.binary(max_size=256),
+    st.tuples(_heads, st.binary(max_size=64)).map(b"".join),
+)
+
+
+def _exchange(port: int, payload: bytes) -> bytes:
+    """Send *payload*, half-close, and read until the server closes."""
+    chunks: List[bytes] = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        try:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the server closed on a framing error
+    return b"".join(chunks)
+
+
+def _statuses(stream: bytes) -> List[int]:
+    """Status codes of the back-to-back responses in *stream*."""
+    statuses = []
+    while stream:
+        head, sep, rest = stream.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head: {stream[:200]!r}"
+        lines = head.decode("latin-1").split("\r\n")
+        statuses.append(int(lines[0].split()[1]))
+        fields = dict(line.lower().split(": ", 1) for line in lines[1:])
+        stream = rest[int(fields["content-length"]):]
+    return statuses
+
+
+class TestRequestFraming:
+    """Whatever bytes arrive, the reader parses a request, reports a clean
+    close, or raises a framing error that closes the connection; the
+    server answers below 500 or closes.  Never an unhandled exception in
+    the connection task, never a hang."""
+
+    @given(payload=raw_requests)
+    @example(payload=b"POST /evaluate HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+    @example(payload=b"POST /evaluate HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+    @example(payload=b"GET //[ HTTP/1.1\r\n\r\n")
+    @example(payload=b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+    @settings(max_examples=150, deadline=None)
+    def test_any_bytes_end_in_a_4xx_or_a_close(self, server, payload):
+        async def read_one() -> None:
+            reader = asyncio.StreamReader()  # start_server's default limit
+            reader.feed_data(payload)
+            reader.feed_eof()
+            try:
+                await asyncio.wait_for(server.app._read_request(reader, "fuzz"), 10)
+            except CLOSE:
+                pass
+
+        asyncio.run(read_one())
+        statuses = _statuses(_exchange(server.port, payload))
+        assert all(status < 500 for status in statuses), statuses

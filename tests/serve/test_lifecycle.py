@@ -2,12 +2,20 @@
 
 Each test class starts its own server because these behaviours need
 non-default configuration (a tight rate limit, a single job worker) or
-tear the server down as part of the test.
+tear the server down as part of the test.  Tests that need work to stay
+in flight hold it on a ``threading.Event`` instead of relying on it
+being slow.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -17,10 +25,6 @@ from tests.serve.conftest import ServeClient, make_server
 #: Small custom sweep grid: fast enough for polling tests.
 SMALL_SWEEP = {"workload": "FFT", "nodes": [5.0], "partitions": [1, 2],
                "simplifications": [1]}
-
-#: Big enough to keep the single job worker busy while we poke the queue.
-SLOW_SWEEP = {"workload": "S3D", "nodes": [45.0, 22.0, 10.0, 5.0],
-              "partitions": [2, 8, 32, 128], "simplifications": [3, 5, 7]}
 
 
 def wait_for(predicate, timeout_s=60.0, interval_s=0.02):
@@ -71,9 +75,6 @@ class TestRateLimiting:
 
 class TestAdmissionControl:
     def test_saturated_worker_sheds_with_retry_after(self):
-        import asyncio
-        import threading
-
         handle = make_server(max_inflight=1)
         block = threading.Event()
         try:
@@ -163,32 +164,43 @@ class TestSweepJobs:
         assert status == 400
         assert "valid_workloads" in payload["data"]
 
-    def test_cancel_queued_job_and_409_on_running(self, jobs_client):
-        # Occupy the single worker, then queue a second job behind it.
-        _, busy, _ = jobs_client.post("/sweeps", SLOW_SWEEP)
-        busy_id = busy["data"]["job"]["job_id"]
-        _, queued, _ = jobs_client.post("/sweeps", SMALL_SWEEP)
-        queued_id = queued["data"]["job"]["job_id"]
+    def test_cancel_queued_job_and_409_on_running(self, jobs_server, jobs_client):
+        # Hold the single job worker on a gate until the assertions are
+        # done, so the second job is still queued when the DELETE lands.
+        app = jobs_server.app
+        run_job_body = app._run_job_body
+        started, release = threading.Event(), threading.Event()
 
-        status, payload, _ = jobs_client.delete(f"/sweeps/{queued_id}")
-        assert status == 200
-        assert payload["data"]["job"]["status"] == "cancelled"
+        def gated(kind, params):
+            started.set()
+            release.wait(60.0)
+            return run_job_body(kind, params)
 
-        wait_for(
-            lambda: jobs_client.get(f"/sweeps/{busy_id}")[1]["data"]["job"][
-                "status"
-            ] != "queued"
-        )
-        _, poll, _ = jobs_client.get(f"/sweeps/{busy_id}")
-        if poll["data"]["job"]["status"] == "running":
+        app._run_job_body = gated
+        try:
+            _, busy, _ = jobs_client.post("/sweeps", SMALL_SWEEP)
+            busy_id = busy["data"]["job"]["job_id"]
+            assert started.wait(60.0)
+            _, queued, _ = jobs_client.post("/sweeps", SMALL_SWEEP)
+            queued_id = queued["data"]["job"]["job_id"]
+
+            status, payload, _ = jobs_client.delete(f"/sweeps/{queued_id}")
+            assert status == 200
+            assert payload["data"]["job"]["status"] == "cancelled"
+
             status, payload, _ = jobs_client.delete(f"/sweeps/{busy_id}")
             assert status == 409
             assert payload["data"]["status_now"] == "running"
-        wait_for(
-            lambda: jobs_client.get(f"/sweeps/{busy_id}")[1]["data"]["job"][
-                "status"
-            ] in ("done", "failed")
-        )
+        finally:
+            del app._run_job_body
+            release.set()
+
+        def settled():
+            job = jobs_client.get(f"/sweeps/{busy_id}")[1]["data"]["job"]
+            return job if job["status"] in ("done", "failed") else None
+
+        entry = wait_for(settled)
+        assert entry["status"] == "done", entry["error"]
 
     def test_jobs_listing_and_unknown_id(self, jobs_client):
         status, payload, _ = jobs_client.get("/sweeps")
@@ -235,22 +247,66 @@ class TestGracefulDrain:
     def test_inflight_request_completes_during_drain(self):
         handle = make_server()
         client = ServeClient(handle.port)
-        import threading
+        app = handle.app
+        # Hold the request's model call on a gate until the drain began.
+        batch_fn = app.evaluate_batcher.batch_fn
+        entered, release = threading.Event(), threading.Event()
 
+        def gated(items):
+            entered.set()
+            release.wait(60.0)
+            return batch_fn(items)
+
+        app.evaluate_batcher.batch_fn = gated
         results = {}
 
-        def slow_request():
+        def request():
             results["response"] = client.post(
                 "/evaluate",
                 {"workload": "SRT", "node_nm": 5.0, "partition": 128,
                  "simplification": 11},
             )
 
-        thread = threading.Thread(target=slow_request)
-        thread.start()
-        time.sleep(0.005)  # let the request reach the server
-        handle.stop()
-        thread.join(30)
+        thread = threading.Thread(target=request)
+        stopper = threading.Thread(target=handle.stop)
+        try:
+            thread.start()
+            assert entered.wait(60.0)
+            stopper.start()
+            wait_for(lambda: app.draining)
+        finally:
+            release.set()
+        stopper.join(60.0)
+        thread.join(60.0)
+        assert not thread.is_alive() and not stopper.is_alive()
         status, payload, _ = results["response"]
         assert status == 200
         assert payload["data"]["design"]["partition"] == 128
+
+
+class TestSignals:
+    def test_sigterm_on_the_ready_line_drains(self):
+        # Regression: the ready line used to be printed before the SIGTERM
+        # handler was installed, so a signal sent on seeing it killed the
+        # server (exit -15) instead of draining it.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        try:
+            for line in proc.stdout:
+                if line.startswith("serving on"):
+                    break
+            else:
+                pytest.fail("server exited before announcing")
+            proc.send_signal(signal.SIGTERM)
+            rest, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(10)
+        assert proc.returncode == 0
+        assert "drained, bye" in rest

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.serve.batching import LruCache, MicroBatcher
 from repro.serve.handlers import render_prometheus, render_prometheus_multi
 from repro.serve.jobs import (
@@ -426,17 +427,24 @@ class TestJobQueue:
 
 
 class TestPrometheusRendering:
+    @staticmethod
+    def _latency_entry():
+        histogram = Histogram()
+        for seconds in (0.25, 0.125, 0.125):
+            histogram.observe(seconds)
+        return histogram.snapshot_entry()
+
     def test_renders_all_instrument_kinds(self):
         snapshot = {
             "serve.requests": {"type": "counter", "value": 7},
             "serve.inflight": {"type": "gauge", "value": 2.0},
-            "serve.latency_s": {"type": "timer", "count": 3, "total_s": 0.5},
+            "serve.latency_s": self._latency_entry(),
         }
         text = render_prometheus(snapshot)
         assert "# TYPE repro_serve_requests counter" in text
         assert "repro_serve_requests 7" in text
         assert "repro_serve_inflight 2" in text
-        assert "# TYPE repro_serve_latency_s summary" in text
+        assert "# TYPE repro_serve_latency_s histogram" in text
         assert "repro_serve_latency_s_count 3" in text
         assert "repro_serve_latency_s_sum 0.5" in text
 
@@ -451,7 +459,7 @@ class TestPrometheusRendering:
             {
                 0: {
                     "serve.requests": {"type": "counter", "value": 7},
-                    "serve.latency_s": {"type": "timer", "count": 3, "total_s": 0.5},
+                    "serve.latency_s": self._latency_entry(),
                 },
                 1: {
                     "serve.requests": {"type": "counter", "value": 5},
