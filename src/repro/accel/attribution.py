@@ -17,6 +17,15 @@ product of the simplification and heterogeneity factors.  CMOS saving is
 CMOS-dependent by definition; partitioning is CMOS-dependent too because the
 replicated lanes are paid for with transistors (the paper's stated reason
 Fig 14 CSR is low).
+
+Every evaluation — the 45nm baseline, the best-design grid and the four
+ablations — runs through :class:`repro.accel.batch.BatchEvaluator` over one
+shared :class:`~repro.accel.sweep.ScheduleCache`: the grid is one batched
+call, the baseline and ablations another, so each unique structure is
+scheduled once on the fused macro DAG and the power model is a numpy
+broadcast.  Results are bit-identical to the per-point scalar oracle
+(see :mod:`repro.accel.batch`), which only tests, benchmarks and ``repro
+check`` run.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.accel.batch import BatchEvaluator
 from repro.accel.design import DesignPoint, baseline_design
-from repro.accel.power import PowerReport, evaluate_design
+from repro.accel.power import PowerReport
 from repro.accel.resources import ResourceLibrary
 from repro.accel.sweep import ScheduleCache, default_design_grid
 from repro.accel.trace import TracedKernel
@@ -92,30 +102,28 @@ def find_best_design(
 ) -> Tuple[DesignPoint, PowerReport]:
     """Grid-search the best design for *metric* at *node_nm*.
 
+    The whole grid evaluates in one :meth:`BatchEvaluator.evaluate` call;
+    the first design in grid order with the greatest *metric* wins.
     *cache* lets callers share one (possibly persistent-backed)
-    :class:`ScheduleCache` across the search and later ablations.
+    :class:`ScheduleCache` across the search and later ablations; it
+    carries its own library, and a different *library* beside it is a
+    ``ValueError``.
     """
-    lib = library if library is not None else ResourceLibrary()
     grid = default_design_grid(
         nodes=[node_nm],
         partitions=partitions,
         simplifications=simplifications,
         heterogeneity=True,
     )
-    if cache is None:
-        cache = ScheduleCache(kernel, lib)
-    best_design = None
     best_report = None
     best_value = -math.inf
-    for design in grid:
-        report = evaluate_design(kernel, design, lib, precomputed=cache.get(design))
+    for report in BatchEvaluator(kernel, library, cache).evaluate(grid).reports():
         value = _metric(report, metric)
         if value > best_value:
             best_value = value
-            best_design = design
             best_report = report
-    assert best_design is not None and best_report is not None
-    return best_design, best_report
+    assert best_report is not None
+    return best_report.design, best_report
 
 
 def attribute_gains(
@@ -132,37 +140,36 @@ def attribute_gains(
 
     *partitions*/*simplifications* default to the full Table III ranges;
     tests pass reduced ranges for speed.  *cache* (optionally backed by the
-    persistent store) is shared between the best-design search and the
-    ablation evaluations; by default a fresh in-memory one is used.
+    persistent store) is shared by the best-design search and one batched
+    evaluation of the baseline and the four ablations, so every design
+    point is one memo lookup; by default a fresh in-memory one is used.
     """
-    lib = library if library is not None else ResourceLibrary()
-    if cache is None:
-        cache = ScheduleCache(kernel, lib)
+    batch = BatchEvaluator(kernel, library, cache)
     with span("attribute", kernel=kernel.name, metric=metric):
-        base_design = baseline_design(baseline_node_nm)
-        base_report = evaluate_design(kernel, base_design, lib)
-        base_value = _metric(base_report, metric)
-
         best_design, best_report = find_best_design(
-            kernel, metric, node_nm, lib, partitions, simplifications, cache=cache
+            kernel,
+            metric,
+            node_nm,
+            partitions=partitions,
+            simplifications=simplifications,
+            cache=batch.cache,
         )
         best_value = _metric(best_report, metric)
 
-        def ablated_value(design: DesignPoint) -> float:
-            report = evaluate_design(
-                kernel, design, lib, precomputed=cache.get(design)
-            )
-            return _metric(report, metric)
-
+        base_design = baseline_design(baseline_node_nm)
         ablations = {
             "cmos_saving": best_design.with_node(baseline_node_nm),
             "partitioning": best_design.with_partition(1),
             "simplification": best_design.with_simplification(1),
             "heterogeneity": best_design.without_heterogeneity(),
         }
+        base_report, *ablated = batch.evaluate(
+            [base_design, *ablations.values()]
+        ).reports()
+        base_value = _metric(base_report, metric)
         factors = {
-            concept: max(1.0, best_value / ablated_value(design))
-            for concept, design in ablations.items()
+            concept: max(1.0, best_value / _metric(report, metric))
+            for concept, report in zip(ablations, ablated)
         }
     logger.debug(
         "attribute.done %s",

@@ -448,6 +448,22 @@ async def wall_projections(app, request: Request) -> Any:
     }
 
 
+def _number(body: Mapping[str, Any], name: str, default: float) -> float:
+    """Body field *name* as a float from a JSON number (not a bool); 400 otherwise."""
+    value = body.get(name, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise HttpError(400, f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(body: Mapping[str, Any], name: str, default: bool) -> bool:
+    """Body field *name* as a JSON boolean; 400 otherwise."""
+    value = body.get(name, default)
+    if not isinstance(value, bool):
+        raise HttpError(400, f"{name} must be a boolean, got {value!r}")
+    return value
+
+
 async def wall_whatif(app, request: Request) -> Dict[str, Any]:
     """What-if: re-evaluate one domain's wall under scaled Table V limits.
 
@@ -476,12 +492,10 @@ async def wall_whatif(app, request: Request) -> Dict[str, Any]:
         )
     scales = {}
     for key in ("die_scale", "tdp_scale", "frequency_scale"):
-        value = body.get(key, 1.0)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise HttpError(400, f"{key} must be a number, got {value!r}")
-        if not (0.0 < float(value) <= 100.0):
+        value = _number(body, key, 1.0)
+        if not (0.0 < value <= 100.0):
             raise HttpError(400, f"{key}={value!r} outside (0, 100]")
-        scales[key] = float(value)
+        scales[key] = value
 
     key = (
         "whatif", domain, metric,
@@ -532,26 +546,16 @@ def compute_whatif(app, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 def _design_params(body: Mapping[str, Any]) -> Dict[str, Any]:
     params = {
-        "node_nm": body.get("node_nm", 45.0),
+        "node_nm": _number(body, "node_nm", 45.0),
         "partition": body.get("partition", 1),
         "simplification": body.get("simplification", 1),
-        "heterogeneity": body.get("heterogeneity", True),
+        "heterogeneity": _boolean(body, "heterogeneity", True),
     }
-    for name in ("node_nm",):
-        if not isinstance(params[name], (int, float)) or isinstance(
-            params[name], bool
-        ):
-            raise HttpError(400, f"{name} must be a number, got {params[name]!r}")
     for name in ("partition", "simplification"):
         if not isinstance(params[name], int) or isinstance(params[name], bool):
             raise HttpError(
                 400, f"{name} must be an integer, got {params[name]!r}"
             )
-    if not isinstance(params["heterogeneity"], bool):
-        raise HttpError(
-            400,
-            f"heterogeneity must be a boolean, got {params['heterogeneity']!r}",
-        )
     return params
 
 
@@ -570,7 +574,7 @@ async def evaluate(app, request: Request) -> Dict[str, Any]:
     app.workload(workload)  # validate abbrev up front -> 400, not batch error
     params = _design_params(body)
     key = (
-        "evaluate", workload.upper(), float(params["node_nm"]),
+        "evaluate", workload.upper(), params["node_nm"],
         params["partition"], params["simplification"], params["heterogeneity"],
     )
     return await app.batched_evaluate(key, {"workload": workload, **params})
@@ -654,7 +658,9 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
             f"unknown metric {metric!r}",
             valid_metrics=["throughput", "energy_efficiency"],
         )
-    full = bool(body.get("full", False))
+    full = _boolean(body, "full", False)
+    node_nm = _number(body, "node_nm", 5.0)
+    baseline_node_nm = _number(body, "baseline_node_nm", 45.0)
 
     def compute() -> Dict[str, Any]:
         kernel = app.kernel(workload)
@@ -662,8 +668,8 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
         (attribution,) = app.engine.attribute_all(
             [kernel],
             metric=metric,
-            node_nm=float(body.get("node_nm", 5.0)),
-            baseline_node_nm=float(body.get("baseline_node_nm", 45.0)),
+            node_nm=node_nm,
+            baseline_node_nm=baseline_node_nm,
             partitions=partitions,
             simplifications=simplifications,
         )
@@ -692,7 +698,7 @@ async def sweeps_submit(app, request: Request) -> Any:
     if not isinstance(workload, str):
         raise HttpError(400, f"workload must be a string, got {workload!r}")
     app.workload(workload)
-    params: Dict[str, Any] = {"workload": workload, "full": bool(body.get("full", False))}
+    params: Dict[str, Any] = {"workload": workload, "full": _boolean(body, "full", False)}
     for name in ("nodes", "partitions", "simplifications"):
         values = body.get(name)
         if values is None:

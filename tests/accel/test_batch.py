@@ -6,24 +6,33 @@ must equal per-point `evaluate_design` exactly — same cycles, dynamic
 energy, leakage, clock, op counts, and therefore the same derived
 runtime/power/gain numbers.  These tests pin that contract with fixed
 grids, a hypothesis harness over random DFGs x random grids, the
-structural-dedup bookkeeping, and the cache/store integration.
+structural-dedup bookkeeping, the cache/store integration, and the Fig 14
+attribution against its per-point oracle loop.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel.attribution import GainAttribution, attribute_gains
 from repro.accel.batch import BatchEvaluator, MacroGraph
 from repro.accel.cache import ScheduleStore
-from repro.accel.design import DesignPoint
+from repro.accel.design import DesignPoint, baseline_design
 from repro.accel.power import evaluate_design
 from repro.accel.resources import ResourceLibrary
 from repro.accel.scheduler import schedule as run_schedule
-from repro.accel.sweep import ScheduleCache, default_design_grid, sweep
+from repro.accel.sweep import (
+    ScheduleCache,
+    default_design_grid,
+    sweep,
+    table3_partitions,
+)
 from repro.accel.trace import TracedKernel
 from repro.dfg.graph import Dfg, NodeKind
 from repro.dfg.transforms import dead_code_eliminate
-from repro.workloads import s3d, trd
+from repro.workloads import build_kernel, s3d, trd
 
 GRID = dict(
     nodes=(45.0, 14.0, 5.0),
@@ -314,6 +323,101 @@ def test_macro_graph_matches_scheduler_on_random_dfgs(kernel):
                     fusion_window=window,
                     latency_extra=extra,
                 )
+
+
+# -- Fig 14 attribution against the per-point oracle ----------------------------
+
+METRIC_FIELD = {"throughput": "throughput_ops", "energy_efficiency": "energy_efficiency"}
+
+
+def oracle_attribution(
+    kernel, metric, partitions, simplifications, node_nm=5.0, baseline_node_nm=45.0
+):
+    """Fig 14 by a per-point scalar loop: the reference for ``attribute_gains``.
+
+    Every design runs ``evaluate_design`` over a shared schedule cache, the
+    first strictly greater metric in grid order wins, and the baseline
+    runs the list scheduler uncached.
+    """
+    lib = ResourceLibrary()
+    cache = ScheduleCache(kernel, lib)
+
+    def value(design, schedule):
+        report = evaluate_design(kernel, design, lib, precomputed=schedule)
+        return getattr(report, METRIC_FIELD[metric])
+
+    grid = default_design_grid(
+        nodes=[node_nm], partitions=partitions, simplifications=simplifications
+    )
+    best, best_value = None, -math.inf
+    for design in grid:
+        v = value(design, cache.get(design))
+        if v > best_value:
+            best, best_value = design, v
+    base = baseline_design(baseline_node_nm)
+    ablations = {
+        "cmos_saving": best.with_node(baseline_node_nm),
+        "partitioning": best.with_partition(1),
+        "simplification": best.with_simplification(1),
+        "heterogeneity": best.without_heterogeneity(),
+    }
+    return GainAttribution(
+        kernel=kernel.name,
+        metric=metric,
+        baseline=base,
+        best=best,
+        total_gain=best_value / value(base, None),
+        factors={
+            concept: max(1.0, best_value / value(design, cache.get(design)))
+            for concept, design in ablations.items()
+        },
+    )
+
+
+#: Partitions 256 and up saturate every pool of the kernels below, so
+#: their metrics tie and first-wins grid order picks the best design.
+ORACLE_PARTITIONS = (1, 16, 256, 4096, 524288)
+ORACLE_SIMPLIFICATIONS = (1, 5, 9, 13)
+
+
+@pytest.mark.parametrize("metric", ["throughput", "energy_efficiency"])
+@pytest.mark.parametrize("abbrev", ["RED", "BFS", "SMV", "SRT", "TRD"])
+def test_attribution_matches_per_point_oracle(abbrev, metric):
+    kernel = build_kernel(abbrev)
+    lib = ResourceLibrary()
+    window = lib.fusion_window(5.0, True)
+    assert MacroGraph(kernel.dfg, lib, window).saturation <= 256
+    expected = oracle_attribution(
+        kernel, metric, ORACLE_PARTITIONS, ORACLE_SIMPLIFICATIONS
+    )
+    got = attribute_gains(
+        kernel,
+        metric,
+        partitions=ORACLE_PARTITIONS,
+        simplifications=ORACLE_SIMPLIFICATIONS,
+    )
+    assert got == expected
+    # Saturated partitions tie; the first of them in grid order wins.
+    assert got.best.partition <= 256
+
+
+@given(
+    kernel=random_kernel(),
+    metric=st.sampled_from(sorted(METRIC_FIELD)),
+    partitions=st.lists(
+        st.sampled_from(table3_partitions()), min_size=1, max_size=5, unique=True
+    ),
+    simplifications=st.lists(
+        st.integers(min_value=1, max_value=13), min_size=1, max_size=4, unique=True
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_attribution_matches_oracle_on_random_inputs(
+    kernel, metric, partitions, simplifications
+):
+    assert attribute_gains(
+        kernel, metric, partitions=partitions, simplifications=simplifications
+    ) == oracle_attribution(kernel, metric, partitions, simplifications)
 
 
 class TestEngineVectorization:

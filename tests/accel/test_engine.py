@@ -139,6 +139,21 @@ class TestStatsAccounting:
         assert result.stats.chunks == 1
         assert result.stats.jobs == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_attribute_all_counts_every_evaluation_once(self, jobs):
+        # Per kernel: the best-design grid plus the 45nm baseline and the
+        # four ablations, each one memo lookup and one design point.
+        kernels = [trd.build(n=16), s3d.build()]
+        partitions, simplifications = (1, 8, 64), (1, 5, 9, 13)
+        engine = SweepEngine(jobs=jobs, use_cache=False)
+        engine.attribute_all(
+            kernels, partitions=partitions, simplifications=simplifications
+        )
+        stats = engine.last_stats
+        expected = len(kernels) * (len(partitions) * len(simplifications) + 5)
+        assert stats.memo_hits + stats.memo_misses == expected
+        assert stats.design_points == expected
+
     def test_attribute_all_serial_reports_one_job(self):
         kernels = [trd.build(n=16), s3d.build()]
         engine = SweepEngine(jobs=1, use_cache=False)

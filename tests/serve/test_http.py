@@ -289,6 +289,20 @@ class TestQueryEndpoints:
             assert status == 400, body
             assert "error" in payload["data"]
 
+    def test_attribute_validates_input_types(self, client):
+        bad = [
+            {"workload": "FFT", "node_nm": "abc"},
+            {"workload": "FFT", "node_nm": [5]},
+            {"workload": "FFT", "node_nm": True},
+            {"workload": "FFT", "baseline_node_nm": None},
+            {"workload": "FFT", "full": "false"},  # bool("false") is True
+            {"workload": "FFT", "full": 1},
+        ]
+        for body in bad:
+            status, payload, _ = client.post("/attribute", body)
+            assert status == 400, body
+            assert "must be a" in payload["data"]["error"], body
+
     def test_attribute_returns_share_decomposition(self, client):
         status, payload, _ = client.post("/attribute", {"workload": "FFT"})
         assert status == 200

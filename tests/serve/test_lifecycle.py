@@ -164,6 +164,13 @@ class TestSweepJobs:
         assert status == 400
         assert "valid_workloads" in payload["data"]
 
+    def test_non_boolean_full_is_rejected_at_submit(self, jobs_client):
+        status, payload, _ = jobs_client.post(
+            "/sweeps", {"workload": "FFT", "full": "false"}
+        )
+        assert status == 400
+        assert "full must be a boolean" in payload["data"]["error"]
+
     def test_cancel_queued_job_and_409_on_running(self, jobs_server, jobs_client):
         # Hold the single job worker on a gate until the assertions are
         # done, so the second job is still queued when the DELETE lands.
