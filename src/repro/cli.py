@@ -40,7 +40,7 @@ import time
 from typing import List, Optional
 
 from repro.cmos.model import CmosPotentialModel
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.reporting.tables import (
     render_rows,
     table1_specialization_concepts,
@@ -157,7 +157,7 @@ def _obs_finish(args, tracer, manifest=None, engine=None) -> None:
     """Render/export the trace, uninstall it, persist snapshot + manifest."""
     from repro.obs.metrics import metrics
     from repro.obs.trace import set_tracer
-    from repro.provenance.manifest import SCHEMA_VERSION
+    from repro.provenance.manifest import SCHEMA_VERSION, write_json_atomic
 
     if tracer is not None:
         set_tracer(None)
@@ -181,11 +181,8 @@ def _obs_finish(args, tracer, manifest=None, engine=None) -> None:
         "run_id": manifest.run_id if manifest is not None else None,
         "metrics": snapshot,
     }
-    path = _metrics_path()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
+        write_json_atomic(_metrics_path(), payload, indent=2)
     except OSError:
         pass  # diagnostics are best-effort; never fail the command
 
@@ -228,6 +225,7 @@ def _record_manifest(manifest, snapshot, tracer=None, engine=None) -> None:
 def _cmd_stats(args) -> int:
     """Render the metrics snapshot persisted by the last DSE-backed run."""
     from repro.obs.metrics import MetricsRegistry
+    from repro.provenance.manifest import read_json_object
 
     path = _metrics_path()
     if not path.exists():
@@ -238,12 +236,12 @@ def _cmd_stats(args) -> int:
         )
         return 1
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = read_json_object(path)
+        if not isinstance(payload.get("metrics", {}), dict):
+            raise ValidationError(f"{path} is unreadable: 'metrics' is not an object")
+    except ValidationError as exc:
         print(
-            f"metrics snapshot {path} is unreadable ({exc}); "
-            "re-run a DSE-backed command to refresh it",
+            f"metrics snapshot {exc}; re-run a DSE-backed command to refresh it",
             file=sys.stderr,
         )
         return 1
@@ -290,12 +288,7 @@ def _cmd_tail(args) -> int:
                 continue
             rows = (payload.get("data") or {}).get("requests") or []
             for row in rows:
-                key = (
-                    row.get("trace_id"),
-                    row.get("start_unix"),
-                    row.get("worker"),
-                    row.get("internal"),
-                )
+                key = (row.get("trace_id"), row.get("start_unix"), row.get("worker"))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -309,8 +302,7 @@ def _cmd_tail(args) -> int:
                     f"{row.get('status', '?'):>3} "
                     f"{('w' + str(worker)) if worker is not None else '-':>3} "
                     f"{row.get('method', '?'):<6} {row.get('path', '?')} "
-                    f"trace={row.get('trace_id')}"
-                    + (" [internal]" if row.get("internal") else ""),
+                    f"trace={row.get('trace_id')}",
                     flush=True,
                 )
             if args.once:

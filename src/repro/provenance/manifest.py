@@ -29,11 +29,12 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union, get_origin, get_type_hints
 
 from repro.errors import ValidationError
 from repro.obs.log import get_logger, kv
@@ -50,6 +51,8 @@ __all__ = [
     "git_state",
     "input_fingerprints",
     "model_fingerprint",
+    "read_json_object",
+    "write_json_atomic",
 ]
 
 #: Provenance schema version; stamped into manifests, exported artifacts,
@@ -231,8 +234,21 @@ class RunManifest:
                 f"manifest {payload.get('run_id', '?')!r} is missing "
                 f"required fields {missing}"
             )
-        known = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        hints = get_type_hints(cls)
+        for name, value in payload.items():
+            if name not in hints:
+                continue
+            kind = get_origin(hints[name]) or hints[name]
+            if kind in (int, float):
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            else:
+                ok = isinstance(value, kind)
+            if not ok:
+                raise ValidationError(
+                    f"manifest {payload.get('run_id', '?')!r} field {name!r} "
+                    f"must be a {kind.__name__}, got {type(value).__name__}"
+                )
+        return cls(**{k: v for k, v in payload.items() if k in hints})
 
     def artifact_block(self) -> Dict[str, object]:
         """The compact provenance stamp embedded in exported artifacts.
@@ -316,6 +332,56 @@ def capture(
     )
 
 
+# -- JSON state files ---------------------------------------------------------
+
+
+def write_json_atomic(
+    path: PathLike, payload: object, indent: Optional[int] = None
+) -> Path:
+    """Write *payload* as JSON to *path*, atomically; returns the path.
+
+    The JSON goes to a temp file in the same directory (created if
+    missing), which ``os.replace`` renames over *path*: a reader sees the
+    old file or the new one, never a torn write.  The temp file is
+    removed if anything fails.  *indent* pretty-prints files meant for
+    people; the compact default encodes several times faster.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, indent=indent)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def read_json_object(path: PathLike) -> Dict[str, object]:
+    """The JSON object stored at *path*.
+
+    Raises :class:`ValidationError` when the file cannot be read or
+    decoded, is not JSON, or holds anything but a JSON object: the one
+    way a corrupt JSON state file fails.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ValidationError(f"{path} is unreadable: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{path} is unreadable: holds a JSON {type(payload).__name__}, "
+            "not an object"
+        )
+    return payload
+
+
 # -- the ledger ---------------------------------------------------------------
 
 
@@ -339,12 +405,9 @@ class RunLedger:
 
     def record(self, manifest: RunManifest) -> Path:
         """Persist *manifest*; returns the written path (atomic replace)."""
-        path = self._manifest_path(manifest.run_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w") as handle:
-            json.dump(manifest.to_dict(), handle, indent=2)
-        os.replace(tmp, path)
+        path = write_json_atomic(
+            self._manifest_path(manifest.run_id), manifest.to_dict(), indent=2
+        )
         logger.info(
             "ledger.recorded %s",
             kv(run_id=manifest.run_id, command=manifest.command, path=str(path)),
@@ -359,12 +422,7 @@ class RunLedger:
                 f"no run {run_id!r} in ledger {self.root} "
                 f"(known: {', '.join(self.ids()[-5:]) or 'none'})"
             )
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"run {run_id!r} is unreadable: {exc}") from exc
-        return RunManifest.from_dict(payload)
+        return RunManifest.from_dict(read_json_object(path))
 
     def list(self) -> List[RunManifest]:
         """Every readable manifest, oldest first."""

@@ -5,14 +5,15 @@ and sweep engine once, then answers the paper's core queries over a
 stdlib-only asyncio HTTP server with micro-batching, background sweep
 jobs, rate limiting, load shedding, Prometheus metrics, and
 provenance-stamped responses.  ``repro serve --workers N`` scales the
-same server across cores under a forking supervisor with a shared warm
-snapshot (see ``docs/METHODOLOGY.md`` §12 and §14).
+same server across cores under a forking supervisor whose shared
+directory holds the warm snapshot, the job records, and each worker's
+published metrics (see ``docs/METHODOLOGY.md`` §12 and §14).
 """
 
 from repro.serve.app import ServeApp, ServeConfig, ServerHandle
 from repro.serve.batching import LruCache, MicroBatcher
 from repro.serve.debug import FlightRecorder, RequestRecord
-from repro.serve.jobs import Job, JobQueue, QueueFullError, UnknownJobError, job_owner
+from repro.serve.jobs import Job, JobQueue, QueueFullError, UnknownJobError
 from repro.serve.limits import InflightGate, RateLimiter
 from repro.serve.router import HttpError, Request, Response, Router
 from repro.serve.snapshot import ServeSnapshot, build_snapshot, load_snapshot
@@ -40,6 +41,5 @@ __all__ = [
     "SupervisorHandle",
     "UnknownJobError",
     "build_snapshot",
-    "job_owner",
     "load_snapshot",
 ]

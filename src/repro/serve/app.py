@@ -22,18 +22,28 @@ exported artifacts with the PR-4 machinery.  SIGTERM/SIGINT trigger a
 graceful drain: the listener closes, in-flight requests finish, queued
 jobs are cancelled, running jobs get a bounded grace period, and the
 process exits 0.
+
+Under a supervisor each worker shares state with its siblings through
+files in the supervisor's fleet directory, never over the network: job
+records (:mod:`repro.serve.jobs`) and ``workers/<index>.json``, this
+worker's metrics snapshot and flight-recorder rows, rewritten every
+:data:`PUBLISH_INTERVAL_S` seconds.  ``/metrics`` and ``/debug/*`` merge
+the live local state with the other workers' files, so their view of a
+sibling can lag by up to one publish interval.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import os
 import signal
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,12 +60,12 @@ from repro.obs.trace import (
     trace_id_from_headers,
     trace_scope,
 )
+from repro.provenance.manifest import read_json_object, write_json_atomic
 from repro.serve.batching import LruCache, MicroBatcher
 from repro.serve.debug import FlightRecorder
 from repro.serve.handlers import (
     compute_evaluate_batch,
     compute_whatif,
-    register_internal_routes,
     register_routes,
 )
 from repro.serve.jobs import JobQueue
@@ -93,6 +103,14 @@ OPS_ROUTES = (
 #: finishes, so this ring only holds in-flight and orphaned spans.
 TRACER_RING = 8192
 
+#: Seconds between a fleet worker's rewrites of ``workers/<index>.json``.
+PUBLISH_INTERVAL_S = 1.0
+
+
+def worker_state_path(fleet_dir: str, index: int) -> Path:
+    """Where fleet worker *index* publishes its metrics and recorder rows."""
+    return Path(fleet_dir, "workers", f"{index}.json")
+
 
 @dataclass
 class ServeConfig:
@@ -118,8 +136,7 @@ class ServeConfig:
     flight_recorder: int = 256     # request records retained per worker
     # -- multi-worker plumbing (set by the supervisor, not by users) ----------
     worker_index: Optional[int] = None
-    peer_ports: Optional[Dict[int, int]] = None   # worker index -> internal port
-    snapshot_path: Optional[str] = None           # pickled ServeSnapshot
+    fleet_dir: Optional[str] = None   # shared dir: snapshot.pkl, jobs/, workers/
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -142,20 +159,17 @@ class ServeApp:
         self.config = config if config is not None else ServeConfig()
         self.router = Router()
         register_routes(self.router)
-        self.internal_router = Router()
-        register_internal_routes(self.internal_router)
         self.started_unix = time.time()
         self.inflight = 0
         self.draining = False
         self._shutdown = None  # asyncio.Event, created on the serving loop
         self._server: Optional[asyncio.base_events.Server] = None
-        self._internal_server: Optional[asyncio.base_events.Server] = None
+        self._publisher: Optional[asyncio.Task] = None
         self._connections: set = set()
         self._started = False
         self._snapshot = snapshot      # injected ServeSnapshot (tests)
-        #: Pre-bound sockets handed over by the supervisor (fork path).
+        #: Pre-bound listening socket handed over by the supervisor (fork path).
         self.listen_sock: Optional[socket.socket] = None
-        self.internal_sock: Optional[socket.socket] = None
 
     # -- startup ---------------------------------------------------------------
 
@@ -171,8 +185,8 @@ class ServeApp:
 
         config = self.config
         snapshot = self._snapshot
-        if snapshot is None and config.snapshot_path:
-            snapshot = load_snapshot(config.snapshot_path)
+        if snapshot is None and config.fleet_dir:
+            snapshot = load_snapshot(os.path.join(config.fleet_dir, "snapshot.pkl"))
             self._snapshot = snapshot
         if snapshot is not None:
             # Warm boot: the supervisor fitted/traced/built this state
@@ -221,11 +235,6 @@ class ServeApp:
             for name, payload in snapshot.artifacts.items():
                 self._artifact_cache.put(name, payload)
         self._response_cache = LruCache(config.response_cache, name="response")
-        self.peers: Dict[int, int] = {
-            index: port
-            for index, port in (config.peer_ports or {}).items()
-            if index != config.worker_index
-        }
         self.gate = InflightGate(config.max_inflight)
         self.evaluate_batcher = MicroBatcher(
             lambda items: compute_evaluate_batch(self, items),
@@ -247,6 +256,7 @@ class ServeApp:
             max_pending=config.max_pending_jobs,
             executor=self.executor,
             worker_index=config.worker_index,
+            fleet_dir=config.fleet_dir,
         )
         self.limiter = RateLimiter(config.rate_limit, config.rate_burst)
         self._started = True
@@ -509,6 +519,51 @@ class ServeApp:
             ],
         }
 
+    # -- fleet state --------------------------------------------------------------
+
+    def _publish_state(self) -> None:
+        """Write this worker's metrics and recorder rows for its siblings."""
+        try:
+            write_json_atomic(
+                worker_state_path(self.config.fleet_dir, self.config.worker_index),
+                {
+                    "metrics": metrics().snapshot(),
+                    "requests": [
+                        r.to_dict() for r in self.recorder.tail(self.recorder.capacity)
+                    ],
+                },
+            )
+        except OSError as exc:  # siblings keep the last state written
+            logger.warning("serve.publish_failed %s", kv(error=str(exc)))
+
+    async def _publish_loop(self) -> None:
+        while True:
+            self._publish_state()
+            await asyncio.sleep(PUBLISH_INTERVAL_S)
+
+    def fleet_state(self) -> Dict[int, Dict[str, Any]]:
+        """The other workers' last published state, keyed by worker index.
+
+        A file that is missing, unreadable, or not of the published shape
+        is skipped, so a worker mid-restart drops out of the merged views.
+        """
+        states: Dict[int, Dict[str, Any]] = {}
+        if self.config.fleet_dir is None:
+            return states
+        for path in Path(self.config.fleet_dir, "workers").glob("*.json"):
+            try:
+                index = int(path.stem)
+                state = read_json_object(path)
+            except ValueError:  # includes ValidationError
+                continue
+            if (
+                index != self.config.worker_index
+                and isinstance(state.get("metrics"), dict)
+                and isinstance(state.get("requests"), list)
+            ):
+                states[index] = state
+        return states
+
     # -- envelope ---------------------------------------------------------------
 
     def envelope(self, data: Any) -> Dict[str, Any]:
@@ -533,11 +588,10 @@ class ServeApp:
         """Route one request and produce its response (never raises).
 
         The whole exchange runs under a trace scope: the id comes from an
-        incoming ``traceparent``/``X-Trace-Id`` header (so a client — or
-        a sibling worker forwarding over the loopback — stitches its hops
-        into one trace) or is minted here, and goes back out as
-        ``X-Trace-Id``.  When the request finishes, its spans move from
-        the tracer into the flight recorder as one request record.
+        incoming ``traceparent``/``X-Trace-Id`` header (so a client
+        stitches its requests into one trace) or is minted here, and goes
+        back out as ``X-Trace-Id``.  When the request finishes, its spans
+        move from the tracer into the flight recorder as one request record.
         """
         trace_id = request.trace_id or trace_id_from_headers(request.headers)
         if trace_id is None:
@@ -561,7 +615,6 @@ class ServeApp:
                 start_unix=start_unix,
                 client=request.client,
                 worker=self.config.worker_index,
-                internal=request.internal,
                 spans=tracer.take(trace_id) if tracer is not None else (),
             )
         return response
@@ -571,26 +624,10 @@ class ServeApp:
         registry = metrics()
         start = perf_counter()
         route_name = "unrouted"
-        router = self.internal_router if request.internal else self.router
         gated = False
         try:
-            route, params = router.resolve(request.method, request.path)
+            route, params = self.router.resolve(request.method, request.path)
             route_name = route.name
-            if request.internal:
-                # Worker-to-worker traffic: no draining rejection, rate
-                # limit, or shedding — peers must always resolve jobs and
-                # metrics, even while this worker is under pressure.
-                with span(
-                    "serve.internal", route=route_name, method=request.method
-                ):
-                    payload = await route.handler(self, request, **params)
-                response = (
-                    payload
-                    if isinstance(payload, Response)
-                    else Response.json(payload)
-                )
-                registry.counter("serve.internal.requests").inc()
-                return response, route_name
             if self.draining and route_name not in OPS_ROUTES:
                 raise HttpError(
                     503, "server is draining", headers={"Connection": "close"}
@@ -634,13 +671,6 @@ class ServeApp:
             else:
                 response = Response.json(self.envelope(payload))
         except HttpError as exc:
-            if request.internal:
-                return (
-                    Response.json(
-                        exc.payload(), status=exc.status, headers=exc.headers
-                    ),
-                    route_name,
-                )
             response = Response.json(
                 self.envelope(exc.payload()), status=exc.status,
                 headers=exc.headers,
@@ -652,14 +682,6 @@ class ServeApp:
             )
         except Exception as exc:  # noqa: BLE001 - never kill the connection loop
             logger.exception("request.failed method=%s path=%s", request.method, request.path)
-            if request.internal:
-                return (
-                    Response.json(
-                        {"error": f"internal error: {type(exc).__name__}"},
-                        status=500,
-                    ),
-                    route_name,
-                )
             response = Response.json(
                 self.envelope(
                     {"error": f"internal error: {type(exc).__name__}", "status": 500}
@@ -687,83 +709,10 @@ class ServeApp:
         )
         return response, route_name
 
-    # -- worker-to-worker requests ----------------------------------------------
-
-    async def peer_request(
-        self,
-        worker_index: int,
-        method: str,
-        path: str,
-        body: Optional[bytes] = None,
-        timeout_s: float = 10.0,
-    ) -> Tuple[int, Any]:
-        """One HTTP request to a peer worker's internal listener.
-
-        Returns ``(status, parsed_json_body)``.  Raises :class:`HttpError`
-        503 when the peer is unknown or unreachable (e.g. mid-restart
-        after a crash) — callers surface that as "job temporarily
-        unresolvable", which the supervisor heals within its backoff.
-        """
-        port = self.peers.get(worker_index)
-        if port is None:
-            raise HttpError(
-                503, f"no such worker {worker_index} (stale job id?)"
-            )
-        payload = body or b""
-        trace_id = current_trace_id()
-        trace_header = (
-            f"X-Trace-Id: {trace_id}\r\n" if trace_id is not None else ""
-        )
-        head = (
-            f"{method} {path} HTTP/1.0\r\n"
-            f"Host: 127.0.0.1:{port}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"{trace_header}"
-            "Content-Type: application/json\r\n\r\n"
-        ).encode("latin-1")
-        try:
-            with span("serve.peer", worker=worker_index, path=path):
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection("127.0.0.1", port), timeout_s
-                )
-                try:
-                    writer.write(head + payload)
-                    await writer.drain()
-                    raw = await asyncio.wait_for(reader.read(-1), timeout_s)
-                finally:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
-        except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
-            metrics().counter("serve.internal.peer_errors").inc()
-            raise HttpError(
-                503,
-                f"worker {worker_index} unreachable "
-                f"({type(exc).__name__}) — it may be restarting",
-                retry_after_s=1.0,
-            )
-        header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-        status_line = header_blob.split(b"\r\n", 1)[0].decode("latin-1")
-        try:
-            status = int(status_line.split()[1])
-        except (IndexError, ValueError):
-            raise HttpError(
-                503, f"worker {worker_index} sent a malformed response"
-            )
-        import json as _json
-
-        data = _json.loads(body_blob.decode("utf-8")) if body_blob.strip() else None
-        return status, data
-
     # -- the HTTP/1.1 protocol --------------------------------------------------
 
     async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        internal: bool = False,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if isinstance(peer, tuple) else "local"
@@ -775,7 +724,6 @@ class ServeApp:
                 request, keep_alive = await self._read_request(reader, peer_host)
                 if request is None:
                     break
-                request.internal = internal
                 response = await self.dispatch(request)
                 close = (
                     not keep_alive
@@ -884,11 +832,10 @@ class ServeApp:
     async def start_server(self) -> Tuple[str, int]:
         """Bind the listener and spawn job workers; returns (host, port).
 
-        Under a supervisor the public and internal listening sockets were
-        bound before the fork (``listen_sock`` / ``internal_sock``) and
-        are adopted here instead of binding fresh ones — that is what
-        lets N workers share one port and keeps internal ports stable
-        across crash restarts.
+        Under a supervisor the listening socket was bound before the fork
+        (``listen_sock``) and is adopted here instead of binding a fresh
+        one — that is what lets N workers share one port.  A fleet worker
+        also starts publishing its state to the fleet directory.
         """
         self.startup()
         self._shutdown = asyncio.Event()
@@ -906,14 +853,8 @@ class ServeApp:
             )
         sockname = self._server.sockets[0].getsockname()
         self.bound_port = sockname[1]
-        if self.internal_sock is not None:
-
-            async def handle_internal(reader, writer):
-                await self._handle_connection(reader, writer, internal=True)
-
-            self._internal_server = await asyncio.start_server(
-                handle_internal, sock=self.internal_sock
-            )
+        if self.config.fleet_dir is not None:
+            self._publisher = asyncio.create_task(self._publish_loop())
         logger.info(
             "serve.listening %s",
             kv(
@@ -936,9 +877,6 @@ class ServeApp:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._internal_server is not None:
-            self._internal_server.close()
-            await self._internal_server.wait_closed()
         deadline = time.monotonic() + config.drain_timeout_s
         while self.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
@@ -950,6 +888,10 @@ class ServeApp:
             await asyncio.gather(*self._connections, return_exceptions=True)
         await self.jobs.close(drain=True, timeout_s=config.drain_timeout_s)
         self.executor.shutdown(wait=True)
+        if self._publisher is not None:
+            self._publisher.cancel()
+            await asyncio.gather(self._publisher, return_exceptions=True)
+            self._publish_state()
         if getattr(self, "_installed_tracer", False):
             set_tracer(None)
             self._installed_tracer = False

@@ -2,17 +2,18 @@
 
 Operators of a live fleet need something between ``/metrics`` aggregates
 and reading code: *which* requests were slow, *where* each one spent its
-time, and how a multi-worker request hung together.  The
-:class:`FlightRecorder` keeps the last N requests (route, status,
+time, and how the requests of one trace hung together across workers.
+The :class:`FlightRecorder` keeps the last N requests (route, status,
 duration, trace id, top spans, worker) in a ``deque`` ring — O(1) record,
-oldest evicted first, nothing persisted — and the ``/debug/requests``,
-``/debug/slow``, and ``/debug/trace/{id}`` endpoints expose it,
-fleet-merged across workers over the internal loopback (METHODOLOGY §15).
+oldest evicted first — and the ``/debug/requests``, ``/debug/slow``, and
+``/debug/trace/{id}`` endpoints expose it.  Under a supervisor each
+worker also publishes its ring to the fleet directory, and the endpoints
+merge the other workers' published rows into the answer (METHODOLOGY §15).
 
 :func:`chrome_trace` turns one trace's records — possibly gathered from
 several worker processes — into Chrome trace-event JSON with flow arrows
-stitching the hops, so a cross-worker request renders as one timeline in
-Perfetto.
+linking them, so a trace that touched several workers renders as one
+timeline in Perfetto.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class RequestRecord:
     start_unix: float
     client: str = ""
     worker: Optional[int] = None
-    internal: bool = False
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -73,7 +73,6 @@ class RequestRecord:
             "start_unix": self.start_unix,
             "client": self.client,
             "worker": self.worker,
-            "internal": self.internal,
             "spans": self.spans,
         }
 
@@ -105,7 +104,6 @@ class FlightRecorder:
         start_unix: Optional[float] = None,
         client: str = "",
         worker: Optional[int] = None,
-        internal: bool = False,
         spans: Sequence[Span] = (),
     ) -> RequestRecord:
         """Append one finished request; returns the stored record."""
@@ -121,7 +119,6 @@ class FlightRecorder:
             start_unix=time.time() if start_unix is None else float(start_unix),
             client=client,
             worker=worker,
-            internal=internal,
             spans=[_span_dict(s) for s in kept],
         )
         with self._lock:
@@ -158,8 +155,9 @@ def chrome_trace(
 
     Spans become complete ``"ph": "X"`` events on ``(worker, tid)``
     tracks; each worker gets a ``process_name`` metadata row; and flow
-    events (``s``/``t``/``f`` sharing the trace id) draw arrows from hop
-    to hop so the supervisor loopback renders as one connected request.
+    events (``s``/``t``/``f`` sharing the trace id) draw arrows from record
+    to record, so a submit, its job, and polls answered by other workers
+    render as one connected request.
     Span timestamps are machine-wide ``CLOCK_MONOTONIC``, so rebasing to
     the earliest span aligns every process on a shared timeline.
     """

@@ -26,7 +26,6 @@ from repro.serve.router import HttpError, Request, Response
 from repro.serve import jobs as jobmod
 
 __all__ = [
-    "register_internal_routes",
     "register_routes",
     "render_prometheus",
     "render_prometheus_multi",
@@ -180,22 +179,14 @@ async def metrics_text(app, request: Request) -> Response:
 
     content_type = "text/plain; version=0.0.4; charset=utf-8"
     local = metrics().snapshot()
-    if app.config.worker_index is None or not app.peers:
+    if app.config.fleet_dir is None:
         # Single-process mode keeps the unlabeled format — existing
         # dashboards and the CI smoke greps parse it as-is.
         return Response.text(render_prometheus(local), content_type=content_type)
     snapshots: Dict[int, Mapping[str, Mapping[str, object]]] = {
-        app.config.worker_index: local
+        index: state["metrics"] for index, state in app.fleet_state().items()
     }
-    for index in sorted(app.peers):
-        try:
-            status, data = await app.peer_request(
-                index, "GET", "/internal/metrics"
-            )
-        except HttpError:
-            continue  # peer mid-restart: report the workers we can reach
-        if status == 200 and isinstance(data, dict):
-            snapshots[int(data.get("worker", index))] = data.get("metrics", {})
+    snapshots[app.config.worker_index] = local
     return Response.text(
         render_prometheus_multi(snapshots), content_type=content_type
     )
@@ -204,8 +195,9 @@ async def metrics_text(app, request: Request) -> Response:
 # -- flight recorder (debug surface) ------------------------------------------
 #
 # Ops-exempt like /metrics: an overloaded or draining server is exactly
-# when operators need the recorder.  Fleet-merged like /sweeps — any
-# replica answers for the whole fleet, skipping peers mid-restart.
+# when operators need the recorder.  Fleet-merged like /metrics — any
+# replica answers for the whole fleet from the other workers' published
+# rows, skipping a worker whose file is missing or unreadable.
 
 
 def _bounded_n(request: Request, default: int, cap: int = 1000) -> int:
@@ -215,29 +207,20 @@ def _bounded_n(request: Request, default: int, cap: int = 1000) -> int:
     return min(n, cap)
 
 
-async def _peer_debug_rows(app, path: str, key: str) -> List[Dict[str, Any]]:
-    """Gather one debug listing from every reachable peer."""
-    rows: List[Dict[str, Any]] = []
-    for index in sorted(app.peers):
-        try:
-            status, data = await app.peer_request(index, "GET", path)
-        except HttpError:
-            continue  # peer mid-restart: report the workers we can reach
-        if status == 200 and isinstance(data, dict):
-            rows.extend(data.get(key) or [])
-    return rows
+def _fleet_rows(app) -> List[Dict[str, Any]]:
+    """The other workers' published flight-recorder rows."""
+    return [
+        row
+        for state in app.fleet_state().values()
+        for row in state["requests"]
+        if isinstance(row, dict)
+    ]
 
 
 async def debug_requests(app, request: Request) -> Dict[str, Any]:
     """The newest ``n`` request records across the fleet (oldest first)."""
     n = _bounded_n(request, 50)
-    rows = [r.to_dict() for r in app.recorder.tail(n)]
-    if app.config.worker_index is not None and app.peers:
-        rows.extend(
-            await _peer_debug_rows(
-                app, f"/internal/debug/requests?n={n}", "requests"
-            )
-        )
+    rows = [r.to_dict() for r in app.recorder.tail(n)] + _fleet_rows(app)
     rows.sort(key=lambda r: float(r.get("start_unix") or 0.0))
     return {
         "requests": rows[-n:],
@@ -249,11 +232,7 @@ async def debug_requests(app, request: Request) -> Dict[str, Any]:
 async def debug_slow(app, request: Request) -> Dict[str, Any]:
     """The ``n`` slowest retained records across the fleet, slowest first."""
     n = _bounded_n(request, 20)
-    rows = [r.to_dict() for r in app.recorder.slowest(n)]
-    if app.config.worker_index is not None and app.peers:
-        rows.extend(
-            await _peer_debug_rows(app, f"/internal/debug/slow?n={n}", "requests")
-        )
+    rows = [r.to_dict() for r in app.recorder.slowest(n)] + _fleet_rows(app)
     rows.sort(key=lambda r: float(r.get("duration_s") or 0.0), reverse=True)
     return {"requests": rows[:n]}
 
@@ -263,18 +242,14 @@ async def debug_trace(app, request: Request, trace_id: str) -> Dict[str, Any]:
 
     The response carries the raw records (each with its spans) plus a
     ready Chrome trace (``chrome_trace`` key) with per-worker process
-    tracks and flow arrows over the loopback hops — save it to a file and
+    tracks and flow arrows between the records — save it to a file and
     open it in Perfetto.
     """
     from repro.serve.debug import chrome_trace
 
-    records = [r.to_dict() for r in app.recorder.trace(trace_id)]
-    if app.config.worker_index is not None and app.peers:
-        records.extend(
-            await _peer_debug_rows(
-                app, f"/internal/debug/trace/{trace_id}", "records"
-            )
-        )
+    records = [r.to_dict() for r in app.recorder.trace(trace_id)] + [
+        row for row in _fleet_rows(app) if row.get("trace_id") == trace_id
+    ]
     if not records:
         raise HttpError(
             404,
@@ -717,19 +692,7 @@ async def sweeps_submit(app, request: Request) -> Any:
 
 async def sweeps_list(app, request: Request) -> Dict[str, Any]:
     jobs = [job.to_dict(include_result=False) for job in app.jobs.jobs()]
-    counts = app.jobs.counts()
-    for index in sorted(app.peers):
-        try:
-            status, data = await app.peer_request(index, "GET", "/internal/jobs")
-        except HttpError:
-            continue  # peer mid-restart: list the jobs we can reach
-        if status != 200 or not isinstance(data, dict):
-            continue
-        jobs.extend(data.get("jobs") or [])
-        for state, count in (data.get("counts") or {}).items():
-            counts[state] = counts.get(state, 0) + int(count)
-    jobs.sort(key=lambda job: job.get("submitted_unix") or 0.0)
-    return {"jobs": jobs, "counts": counts}
+    return {"jobs": jobs, "counts": app.jobs.counts()}
 
 
 def _job_or_404(app, job_id: str):
@@ -743,8 +706,13 @@ def _job_or_404(app, job_id: str):
         )
 
 
-def _cancel_or_409(app, job_id: str) -> Dict[str, Any]:
-    """Cancel a local queued job; 409 when it already left ``queued``."""
+async def sweeps_get(app, request: Request, job_id: str) -> Dict[str, Any]:
+    job = _job_or_404(app, job_id)
+    return {"job": job.to_dict(include_result=True)}
+
+
+async def sweeps_cancel(app, request: Request, job_id: str) -> Any:
+    """Cancel a queued job; 409 when it already left ``queued``."""
     job = _job_or_404(app, job_id)
     was = job.status
     job = app.jobs.cancel(job_id)
@@ -755,108 +723,6 @@ def _cancel_or_409(app, job_id: str) -> Dict[str, Any]:
             status_now=job.status,
         )
     return {"job": job.to_dict(include_result=False)}
-
-
-async def _forward_job(app, method: str, job_id: str) -> Any:
-    """Route a job poll/cancel to the worker that owns *job_id*.
-
-    Returns ``None`` when the job is local (resolve it here); otherwise
-    the owning peer's payload, with peer-side errors re-raised so the
-    client sees the same 404/409 it would get from the owner directly.
-    """
-    owner = jobmod.job_owner(job_id)
-    if (
-        owner is None
-        or owner == app.config.worker_index
-        or owner not in app.peers
-    ):
-        return None
-    status, data = await app.peer_request(
-        owner, method, f"/internal/jobs/{job_id}"
-    )
-    payload = data if isinstance(data, dict) else {}
-    if status >= 400:
-        detail = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("error", "status")
-        }
-        raise HttpError(
-            status,
-            payload.get("error", f"worker {owner} returned {status}"),
-            **detail,
-        )
-    return payload
-
-
-async def sweeps_get(app, request: Request, job_id: str) -> Dict[str, Any]:
-    forwarded = await _forward_job(app, "GET", job_id)
-    if forwarded is not None:
-        return forwarded
-    job = _job_or_404(app, job_id)
-    return {"job": job.to_dict(include_result=True)}
-
-
-async def sweeps_cancel(app, request: Request, job_id: str) -> Any:
-    forwarded = await _forward_job(app, "DELETE", job_id)
-    if forwarded is not None:
-        return forwarded
-    return _cancel_or_409(app, job_id)
-
-
-# -- internal (worker-to-worker) surface --------------------------------------
-#
-# Served only on each worker's supervisor-owned loopback listener; raw
-# JSON (no provenance envelope) because the caller is a sibling replica,
-# not a client.
-
-
-async def internal_metrics(app, request: Request) -> Dict[str, Any]:
-    from repro.obs.metrics import metrics
-
-    return {"worker": app.config.worker_index, "metrics": metrics().snapshot()}
-
-
-async def internal_jobs(app, request: Request) -> Dict[str, Any]:
-    return {
-        "worker": app.config.worker_index,
-        "jobs": [job.to_dict(include_result=False) for job in app.jobs.jobs()],
-        "counts": app.jobs.counts(),
-    }
-
-
-async def internal_job(app, request: Request, job_id: str) -> Dict[str, Any]:
-    job = _job_or_404(app, job_id)
-    return {"job": job.to_dict(include_result=True)}
-
-
-async def internal_job_cancel(app, request: Request, job_id: str) -> Dict[str, Any]:
-    return _cancel_or_409(app, job_id)
-
-
-async def internal_debug_requests(app, request: Request) -> Dict[str, Any]:
-    n = _bounded_n(request, 50)
-    return {
-        "worker": app.config.worker_index,
-        "requests": [r.to_dict() for r in app.recorder.tail(n)],
-    }
-
-
-async def internal_debug_slow(app, request: Request) -> Dict[str, Any]:
-    n = _bounded_n(request, 20)
-    return {
-        "worker": app.config.worker_index,
-        "requests": [r.to_dict() for r in app.recorder.slowest(n)],
-    }
-
-
-async def internal_debug_trace(
-    app, request: Request, trace_id: str
-) -> Dict[str, Any]:
-    return {
-        "worker": app.config.worker_index,
-        "records": [r.to_dict() for r in app.recorder.trace(trace_id)],
-    }
 
 
 # -- registration -------------------------------------------------------------
@@ -883,34 +749,3 @@ def register_routes(router) -> None:
     router.add("GET", "/sweeps", sweeps_list, name="sweeps.list")
     router.add("GET", "/sweeps/{job_id}", sweeps_get, name="sweeps.get")
     router.add("DELETE", "/sweeps/{job_id}", sweeps_cancel, name="sweeps.cancel")
-
-
-def register_internal_routes(router) -> None:
-    """Install the worker-to-worker surface (internal listener only)."""
-    router.add("GET", "/internal/metrics", internal_metrics, name="internal.metrics")
-    router.add("GET", "/internal/jobs", internal_jobs, name="internal.jobs")
-    router.add("GET", "/internal/jobs/{job_id}", internal_job, name="internal.job")
-    router.add(
-        "DELETE",
-        "/internal/jobs/{job_id}",
-        internal_job_cancel,
-        name="internal.job.cancel",
-    )
-    router.add(
-        "GET",
-        "/internal/debug/requests",
-        internal_debug_requests,
-        name="internal.debug.requests",
-    )
-    router.add(
-        "GET",
-        "/internal/debug/slow",
-        internal_debug_slow,
-        name="internal.debug.slow",
-    )
-    router.add(
-        "GET",
-        "/internal/debug/trace/{trace_id}",
-        internal_debug_trace,
-        name="internal.debug.trace",
-    )

@@ -15,23 +15,38 @@ A *running* job is not forcibly killed — the engine's process pool cannot
 be safely interrupted mid-sweep — so cancelling one is refused; the
 client sees its current state.  Settled jobs are kept for ``history``
 entries so results stay pollable, then evicted oldest-first.
+
+Under a supervisor the queue also keeps every job as a record file in the
+fleet directory, ``jobs/<job_id>.json``, rewritten atomically at each
+state change, and every worker answers polls, listings, and cancels by
+reading those records, so a job resolves whichever worker the kernel
+hands the connection to.  A queued job also has an empty
+``jobs/<job_id>.queued`` token: the owner's start and any worker's
+cancel both race to ``os.unlink`` it, and only one of them can win.
 """
 
 from __future__ import annotations
 
 import asyncio
-import re
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_trace_id, trace_scope
+from repro.provenance.manifest import read_json_object, write_json_atomic
 
-__all__ = ["Job", "JobQueue", "QueueFullError", "UnknownJobError", "job_owner"]
+__all__ = [
+    "Job",
+    "JobQueue",
+    "QueueFullError",
+    "UnknownJobError",
+    "fail_worker_jobs",
+]
 
 logger = get_logger("serve.jobs")
 
@@ -43,20 +58,6 @@ CANCELLED = "cancelled"
 
 #: States a job can no longer leave.
 SETTLED = (DONE, FAILED, CANCELLED)
-
-
-#: Job ids minted by a multi-worker queue: ``job-w<index>-<hex>``.
-_OWNED_ID = re.compile(r"^job-w(\d+)-")
-
-
-def job_owner(job_id: str) -> Optional[int]:
-    """The worker index encoded in *job_id*, or ``None`` (single-process id).
-
-    Multi-worker job ids carry their owning worker so any replica can
-    route ``GET /sweeps/{id}`` to the queue that holds the job.
-    """
-    found = _OWNED_ID.match(job_id)
-    return int(found.group(1)) if found is not None else None
 
 
 class QueueFullError(RuntimeError):
@@ -107,6 +108,30 @@ class Job:
         return payload
 
 
+def read_job(path: Path) -> Job:
+    """The job record at *path*; :class:`UnknownJobError` if absent or corrupt."""
+    try:
+        return Job(**read_json_object(path))
+    except (ValueError, TypeError):  # unreadable file, or not a job record
+        raise UnknownJobError(path.stem) from None
+
+
+def fail_worker_jobs(fleet_dir: str, worker_index: int, error: str) -> None:
+    """Mark a dead worker's unsettled job records ``failed`` with *error*.
+
+    The supervisor calls this when it reaps worker *worker_index*, whose
+    queued and running jobs can no longer settle.
+    """
+    for path in Path(fleet_dir, "jobs").glob(f"job-w{worker_index}-*.json"):
+        try:
+            job = read_job(path)
+        except UnknownJobError:
+            continue
+        if not job.settled:
+            job.status, job.error, job.finished_unix = FAILED, error, time.time()
+            write_json_atomic(path, job.to_dict())
+
+
 class JobQueue:
     """Bounded asynchronous job runner over a blocking *runner* callable.
 
@@ -128,8 +153,11 @@ class JobQueue:
         Where *runner* runs (``None`` = the loop's default executor).
     worker_index:
         When serving as one of N supervised workers, the replica index —
-        minted job ids become ``job-w<index>-<hex>`` so any worker can
-        resolve which queue owns a polled job (see :func:`job_owner`).
+        minted job ids become ``job-w<index>-<hex>``, so the supervisor
+        can find a dead worker's jobs.
+    fleet_dir:
+        The supervisor's shared directory; when set, jobs are kept as
+        record files there and every query reads them (module docstring).
     """
 
     def __init__(
@@ -140,6 +168,7 @@ class JobQueue:
         history: int = 64,
         executor=None,
         worker_index: Optional[int] = None,
+        fleet_dir: Optional[str] = None,
     ):
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
@@ -151,6 +180,9 @@ class JobQueue:
         self.id_prefix = (
             "job-" if worker_index is None else f"job-w{int(worker_index)}-"
         )
+        self.jobs_dir = None if fleet_dir is None else Path(fleet_dir, "jobs")
+        if self.jobs_dir is not None:
+            self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: "asyncio.Queue[str]" = asyncio.Queue()
         self._workers: List[asyncio.Task] = []
@@ -209,6 +241,10 @@ class JobQueue:
             params=params,
             trace_id=current_trace_id(),
         )
+        if self.jobs_dir is not None:
+            # Token first: a record that reads "queued" always has one.
+            (self.jobs_dir / f"{job.job_id}.queued").touch()
+            write_json_atomic(self.jobs_dir / f"{job.job_id}.json", job.to_dict())
         self._jobs[job.job_id] = job
         self._queue.put_nowait(job.job_id)
         metrics().counter("serve.jobs.submitted").inc()
@@ -217,14 +253,24 @@ class JobQueue:
         return job
 
     def get(self, job_id: str) -> Job:
+        if self.jobs_dir is not None:
+            return read_job(self.jobs_dir / f"{job_id}.json")
         try:
             return self._jobs[job_id]
         except KeyError:
             raise UnknownJobError(job_id) from None
 
     def jobs(self) -> List[Job]:
-        """Every retained job, oldest submission first."""
-        return list(self._jobs.values())
+        """Every retained job (the whole fleet's), oldest submission first."""
+        if self.jobs_dir is None:
+            return list(self._jobs.values())
+        found = []
+        for path in self.jobs_dir.glob("*.json"):
+            try:
+                found.append(read_job(path))
+            except UnknownJobError:
+                continue  # a corrupt record: list the others
+        return sorted(found, key=lambda job: job.submitted_unix)
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued job; running/settled jobs are left untouched.
@@ -233,7 +279,7 @@ class JobQueue:
         whether the cancel took effect.
         """
         job = self.get(job_id)
-        if job.status == QUEUED:
+        if job.status == QUEUED and self._claim(job_id):
             self._settle(job, CANCELLED)
             logger.info("job.cancelled %s", kv(job_id=job_id))
         return job
@@ -242,7 +288,7 @@ class JobQueue:
         out: Dict[str, int] = {
             QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, CANCELLED: 0
         }
-        for job in self._jobs.values():
+        for job in self.jobs():
             out[job.status] = out.get(job.status, 0) + 1
         return out
 
@@ -260,8 +306,13 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None or job.status != QUEUED:
                 continue  # cancelled (or evicted) while queued
+            if not self._claim(job_id):
+                # A cancel, on any worker, won the token and settled the record.
+                job.status = CANCELLED
+                continue
             job.status = RUNNING
             job.started_unix = time.time()
+            self._publish(job)
             self._running += 1
             metrics().gauge("serve.jobs.running").set(self._running)
 
@@ -300,10 +351,34 @@ class JobQueue:
             "job.settled %s",
             kv(job_id=job.job_id, status=status, elapsed_s=elapsed),
         )
+        self._publish(job)
         self._evict()
+
+    def _claim(self, job_id: str) -> bool:
+        """Take a queued job's token; ``False`` if a start or cancel won it."""
+        if self.jobs_dir is None:
+            return True
+        try:
+            (self.jobs_dir / f"{job_id}.queued").unlink()
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _publish(self, job: Job) -> None:
+        """Rewrite *job*'s record in the fleet directory (fleet mode only)."""
+        if self.jobs_dir is None:
+            return
+        try:
+            write_json_atomic(self.jobs_dir / f"{job.job_id}.json", job.to_dict())
+        except OSError as exc:  # other workers see the last state written
+            logger.warning(
+                "job.publish_failed %s", kv(job_id=job.job_id, error=str(exc))
+            )
 
     def _evict(self) -> None:
         """Drop the oldest settled jobs beyond the history bound."""
         settled = [j.job_id for j in self._jobs.values() if j.settled]
         for job_id in settled[: max(0, len(settled) - self.history)]:
             del self._jobs[job_id]
+            if self.jobs_dir is not None:
+                (self.jobs_dir / f"{job_id}.json").unlink(missing_ok=True)

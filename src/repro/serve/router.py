@@ -69,10 +69,6 @@ class Request:
     headers: Dict[str, str]
     body: bytes
     client: str
-    #: True for worker-to-worker requests on the internal loopback
-    #: listener — resolved against the internal route table and exempt
-    #: from rate limiting, shedding, and the provenance envelope.
-    internal: bool = False
     #: The request's trace id — honored from an incoming ``traceparent``
     #: / ``X-Trace-Id`` header or minted by the app at dispatch, and
     #: echoed back as ``X-Trace-Id``.

@@ -4,25 +4,27 @@ Model evaluation is CPU-bound, so one asyncio process caps throughput at
 one core even after the vectorized hot path.  ``repro serve --workers N``
 scales horizontally instead: a small :class:`Supervisor` process
 
-* builds the fitted serving state **once** and pickles it
-  (:mod:`repro.serve.snapshot`) so every replica — including crash
-  replacements — warm-boots instead of refitting;
+* creates the *fleet directory*, the temp directory every worker shares;
+* builds the fitted serving state **once** and pickles it there
+  (``snapshot.pkl``, :mod:`repro.serve.snapshot`) so every replica —
+  including crash replacements — warm-boots instead of refitting;
 * pins the public port and forks N serve workers that share it.  Where
   the platform has ``SO_REUSEPORT`` (Linux) each worker binds its own
   listening socket and the kernel load-balances accepts; elsewhere one
   supervisor-bound listening socket is inherited through the fork and
   workers race on ``accept()``;
-* binds one loopback *internal* listener per worker slot before forking
-  and keeps the file descriptors open, so internal ports survive worker
-  restarts and cross-worker job routing never chases a moving target;
 * restarts crashed workers with exponential backoff (reset after a
   stable run), and fans SIGTERM out to every child for a graceful drain
   before exiting 0 itself.
 
-Workers share the content-addressed schedule cache as the warm layer:
-when the persistent cache is enabled without an explicit directory the
-supervisor provisions a shared one, and the cache's atomic
-write-then-rename protocol makes concurrent writers safe.
+Workers keep their shared state in the fleet directory, written
+atomically (write a temp file, then rename): job records under ``jobs/``
+(:mod:`repro.serve.jobs`) and each worker's metrics and flight-recorder
+rows in ``workers/<index>.json`` (:mod:`repro.serve.app`).  When a worker
+dies, the supervisor marks its unsettled jobs ``failed`` and deletes its
+``workers/`` file before the replacement starts.  The content-addressed
+schedule cache is the warm layer: when the persistent cache is enabled
+without an explicit directory it lives in ``cache/`` there too.
 
 :class:`SupervisorHandle` boots the whole arrangement as a subprocess
 for tests and benchmarks, parsing the advertised port from stdout.
@@ -77,12 +79,10 @@ class Supervisor:
         self.config = config
         self.workers = int(config.workers)
         self.port: Optional[int] = None
-        self.peer_ports: Dict[int, int] = {}
-        self.snapshot_path: Optional[str] = None
+        self.fleet_dir: Optional[str] = None
         self.reuseport = hasattr(socket, "SO_REUSEPORT")
         self._placeholder: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
-        self._internal_socks: Dict[int, socket.socket] = {}
         self._pids: Dict[int, int] = {}            # slot -> live child pid
         self._spawned_at: Dict[int, float] = {}    # slot -> monotonic stamp
         self._backoff: Dict[int, float] = {}       # slot -> next crash delay
@@ -93,19 +93,17 @@ class Supervisor:
     # -- setup -----------------------------------------------------------------
 
     def _setup(self) -> None:
-        """Snapshot, shared cache dir, and every socket — all pre-fork."""
+        """Fleet directory, snapshot, shared cache dir, and the public port."""
         from repro.serve.snapshot import build_snapshot, save_snapshot
 
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
+        self.fleet_dir = self._tmpdir.name
         if self.config.use_cache and not self.config.cache_dir:
             # No directory given: provision one all workers share so a
             # schedule computed by any replica warms every replica.
-            self.config.cache_dir = os.path.join(self._tmpdir.name, "cache")
+            self.config.cache_dir = os.path.join(self.fleet_dir, "cache")
             os.makedirs(self.config.cache_dir, exist_ok=True)
-        snapshot = build_snapshot()
-        self.snapshot_path = str(
-            save_snapshot(snapshot, os.path.join(self._tmpdir.name, "snapshot.pkl"))
-        )
+        save_snapshot(build_snapshot(), os.path.join(self.fleet_dir, "snapshot.pkl"))
         self._bind_sockets()
 
     def _bind_sockets(self) -> None:
@@ -133,15 +131,6 @@ class Supervisor:
             sock.listen(128)
             self._listen_sock = sock
             self.port = sock.getsockname()[1]
-        for index in range(self.workers):
-            internal = _tcp_socket()
-            internal.bind(("127.0.0.1", 0))
-            internal.listen(128)
-            self._internal_socks[index] = internal
-        self.peer_ports = {
-            index: sock.getsockname()[1]
-            for index, sock in self._internal_socks.items()
-        }
 
     # -- worker processes ------------------------------------------------------
 
@@ -171,16 +160,12 @@ class Supervisor:
         from repro.serve.app import ServeApp
 
         reset_metrics()  # drop the supervisor's snapshot-build counters
-        for sibling, sock in self._internal_socks.items():
-            if sibling != index:
-                sock.close()
         config = replace(
             self.config,
             workers=1,
             port=self.port,
             worker_index=index,
-            peer_ports=dict(self.peer_ports),
-            snapshot_path=self.snapshot_path,
+            fleet_dir=self.fleet_dir,
         )
         app = ServeApp(config)
         if self.reuseport:
@@ -192,7 +177,6 @@ class Supervisor:
             app.listen_sock = sock
         else:
             app.listen_sock = self._listen_sock
-        app.internal_sock = self._internal_socks[index]
         asyncio.run(app.serve_until_shutdown())
         return 0
 
@@ -201,6 +185,26 @@ class Supervisor:
             if known == pid:
                 return index
         return None
+
+    def reap(self, index: int, status: int) -> None:
+        """Settle dead worker *index*'s shared state (*status* from waitpid).
+
+        Its unsettled jobs can no longer finish, so their records become
+        ``failed``; its published metrics and recorder rows are deleted
+        so the merged views drop it until the replacement publishes.
+        """
+        from repro.serve.app import worker_state_path
+        from repro.serve.jobs import fail_worker_jobs
+
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        try:
+            fail_worker_jobs(
+                self.fleet_dir, index, f"worker {index} died ({how}) before the job settled"
+            )
+            worker_state_path(self.fleet_dir, index).unlink(missing_ok=True)
+        except OSError as exc:  # the supervisor must outlive a bad directory
+            logger.warning("supervisor.reap_failed %s", kv(worker=index, error=str(exc)))
 
     def _restart(self, index: int, status: int) -> None:
         """Respawn a crashed worker after its slot's current backoff."""
@@ -273,7 +277,7 @@ class Supervisor:
                 port=self.port,
                 workers=self.workers,
                 reuseport=self.reuseport,
-                snapshot=self.snapshot_path,
+                fleet_dir=self.fleet_dir,
             ),
         )
         while not self._shutting_down:
@@ -289,6 +293,7 @@ class Supervisor:
             if self._shutting_down:
                 break
             if index is not None:
+                self.reap(index, status)
                 self._restart(index, status)
         self._shutdown()
         print("drained, bye", flush=True)
@@ -323,10 +328,7 @@ class Supervisor:
                     break
                 time.sleep(0.02)
         self._pids.clear()
-        for sock in (
-            [self._placeholder, self._listen_sock]
-            + list(self._internal_socks.values())
-        ):
+        for sock in (self._placeholder, self._listen_sock):
             if sock is not None:
                 try:
                     sock.close()

@@ -5,7 +5,7 @@ merging per-worker histograms must be order-independent (any worker's
 ``/metrics`` scrape may absorb peers in any order), bucket counts must
 account for every observation, quantile estimates must bracket the true
 quantile within one log-linear bucket width, and a snapshot must survive
-JSON (the internal-listener wire format) bit-exactly.
+JSON (the format workers publish to the fleet directory) bit-exactly.
 """
 
 from __future__ import annotations

@@ -33,6 +33,23 @@ def _mini_manifest(run_id="r1", created_unix=1000.0, **overrides):
     return RunManifest(**payload)
 
 
+def _manifest_bytes(**overrides) -> bytes:
+    payload = _mini_manifest("bad").to_dict()
+    payload.update(overrides)
+    return json.dumps(payload).encode()
+
+
+#: (manifest.json bytes, expected error) for entries the ledger must refuse.
+CORRUPT_ENTRIES = [
+    pytest.param(b"{broken", "unreadable", id="not-json"),
+    pytest.param(b"\xff\xfe" + _manifest_bytes(), "unreadable", id="not-utf8"),
+    pytest.param(
+        _manifest_bytes(created_unix="yesterday"), "created_unix", id="str-number"
+    ),
+    pytest.param(_manifest_bytes(golden=[1, 2]), "golden", id="list-for-dict"),
+]
+
+
 class TestCapture:
     def test_capture_fills_identity(self):
         manifest = capture("export", argv=["export", "--out", "x"])
@@ -146,18 +163,21 @@ class TestLedger:
         with pytest.raises(ValidationError, match="no run"):
             RunLedger(tmp_path).get("missing")
 
-    def test_get_corrupt_entry(self, tmp_path):
+    @pytest.mark.parametrize("content,match", CORRUPT_ENTRIES)
+    def test_get_corrupt_entry(self, tmp_path, content, match):
         (tmp_path / "bad").mkdir(parents=True)
-        (tmp_path / "bad" / "manifest.json").write_text("{broken")
-        with pytest.raises(ValidationError, match="unreadable"):
+        (tmp_path / "bad" / "manifest.json").write_bytes(content)
+        with pytest.raises(ValidationError, match=match):
             RunLedger(tmp_path).get("bad")
 
-    def test_list_skips_corrupt_entries(self, tmp_path):
+    @pytest.mark.parametrize("content,match", CORRUPT_ENTRIES)
+    def test_list_skips_corrupt_entries(self, tmp_path, content, match):
         ledger = RunLedger(tmp_path)
         ledger.record(_mini_manifest("good"))
         (tmp_path / "bad").mkdir()
-        (tmp_path / "bad" / "manifest.json").write_text("{broken")
+        (tmp_path / "bad" / "manifest.json").write_bytes(content)
         assert ledger.ids() == ["good"]
+        assert ledger.latest().run_id == "good"
 
     def test_invalid_run_ids_rejected(self, tmp_path):
         ledger = RunLedger(tmp_path)

@@ -114,7 +114,7 @@ class TestWarmBoot:
             app.executor.shutdown(wait=False)
 
     def test_unreadable_snapshot_path_boots_cold(self, tmp_path):
-        config = ServeConfig(port=0, snapshot_path=str(tmp_path / "absent.pkl"))
+        config = ServeConfig(port=0, fleet_dir=str(tmp_path))  # no snapshot.pkl
         app = ServeApp(config)
         app.startup()
         try:

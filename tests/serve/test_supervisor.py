@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.provenance.drift import compare_golden, flatten_scalars
-from repro.serve.jobs import job_owner
 from repro.serve.supervisor import SupervisorHandle
 from tests.serve.conftest import ServeClient
 
@@ -96,8 +95,15 @@ class TestLoadBalancing:
         # Touch both workers first so each has request counters to report.
         for _ in range(10):
             cluster_client.get("/healthz")
-        status, text, _ = cluster_client.get("/metrics", raw=True)
-        assert status == 200
+
+        def both_workers():
+            # The other worker's series come from its published file,
+            # which can lag one publish interval.
+            status, text, _ = cluster_client.get("/metrics", raw=True)
+            assert status == 200
+            return text if 'worker="0"' in text and 'worker="1"' in text else None
+
+        text = wait_for(both_workers, timeout_s=30.0)
         assert 'worker="0"' in text
         assert 'worker="1"' in text
         # One TYPE line per metric even with two series under it.
@@ -140,8 +146,8 @@ class TestJobRouting:
         status, payload, headers = cluster_client.post("/sweeps", SMALL_SWEEP)
         assert status == 202
         job = payload["data"]["job"]
-        owner = job_owner(job["job_id"])
-        assert owner == int(headers["x-worker"])
+        owner = int(headers["x-worker"])
+        assert job["job_id"].startswith(f"job-w{owner}-")
 
         def settled():
             st, body, _ = cluster_client.get(f"/sweeps/{job['job_id']}")
@@ -155,7 +161,7 @@ class TestJobRouting:
 
         # Keep polling fresh connections until the kernel lands one on
         # the non-owning worker: that response must carry the same job,
-        # resolved over the internal worker-to-worker route.
+        # read from its record in the fleet directory.
         def cross_worker_view():
             st, body, headers = cluster_client.get(f"/sweeps/{job['job_id']}")
             assert st == 200
@@ -189,9 +195,9 @@ class TestJobRouting:
         status, payload, _ = cluster_client.post("/sweeps", SMALL_SWEEP)
         assert status == 202
         job_id = payload["data"]["job"]["job_id"]
-        # The DELETE may land on either worker; routing must find the
-        # owner's queue either way.  The job may have started (409) or
-        # still be queued (200) — both prove the lookup resolved.
+        # The DELETE may land on either worker; both read the job's
+        # record.  The job may have started (409) or still be queued
+        # (200) — both prove the lookup resolved.
         status, payload, _ = cluster_client.delete(f"/sweeps/{job_id}")
         assert status in (200, 409)
         assert status != 404
@@ -199,10 +205,10 @@ class TestJobRouting:
     def test_unknown_job_is_404_from_any_worker(self, cluster_client):
         status, _, _ = cluster_client.get("/sweeps/job-w0-ffffffffffff")
         assert status == 404
-        # An id claiming a worker slot that does not exist is a clean
-        # error, not a hang or a 500.
+        # An id claiming a worker slot that does not exist is a plain
+        # unknown job, not a hang or a 500.
         status, payload, _ = cluster_client.get("/sweeps/job-w9-ffffffffffff")
-        assert status in (404, 503)
+        assert status == 404
 
 
 class TestRestart:
@@ -269,11 +275,11 @@ class TestStitchedTrace:
         assert headers["x-trace-id"] == self.TRACE
         job = payload["data"]["job"]
         assert job["trace_id"] == self.TRACE
-        owner = job_owner(job["job_id"])
+        owner = int(headers["x-worker"])
 
         # Poll under the same trace until the job settles AND at least one
-        # poll has landed on the non-owning worker — that poll resolves the
-        # job over the internal loopback, creating the cross-worker hop.
+        # poll has landed on the non-owning worker, which records that
+        # poll under the trace too.
         state = {"crossed": False}
 
         def settled_and_crossed():
@@ -292,10 +298,17 @@ class TestStitchedTrace:
         assert final["status"] == "done"
 
         # Whichever worker answers, the fleet-merged view shows records
-        # from BOTH sides of the hop under the one trace id.
-        status, payload, _ = cluster_client.get(f"/debug/trace/{self.TRACE}")
-        assert status == 200
-        data = payload["data"]
+        # from BOTH workers under the one trace id (the other worker's
+        # rows can lag one publish interval).
+        def merged():
+            status, payload, _ = cluster_client.get(f"/debug/trace/{self.TRACE}")
+            assert status == 200
+            data = payload["data"]
+            routes = {r["route"] for r in data["records"]}
+            complete = {"sweeps.submit", "sweeps.get", "job.sweep"} <= routes
+            return data if complete and data["workers"] == [0, 1] else None
+
+        data = wait_for(merged, timeout_s=30.0)
         assert data["trace_id"] == self.TRACE
         assert data["workers"] == [0, 1]
         assert data["span_count"] >= 2
@@ -303,7 +316,6 @@ class TestStitchedTrace:
         assert "sweeps.submit" in routes
         assert "sweeps.get" in routes
         assert "job.sweep" in routes  # the background execution itself
-        assert any(r["internal"] for r in data["records"])
 
         # The Chrome export stitches the processes with flow arrows.
         events = data["chrome_trace"]["traceEvents"]
@@ -315,13 +327,17 @@ class TestStitchedTrace:
     def test_fleet_debug_requests_sees_both_workers(self, cluster_client):
         for _ in range(6):
             cluster_client.get("/healthz")
-        status, payload, _ = cluster_client.get("/debug/requests?n=200")
-        assert status == 200
-        workers = {
-            r["worker"] for r in payload["data"]["requests"]
-            if r["worker"] is not None
-        }
-        assert workers == {0, 1}
+
+        def workers_seen():
+            status, payload, _ = cluster_client.get("/debug/requests?n=200")
+            assert status == 200
+            workers = {
+                r["worker"] for r in payload["data"]["requests"]
+                if r["worker"] is not None
+            }
+            return workers if workers == {0, 1} else None
+
+        assert wait_for(workers_seen, timeout_s=30.0) == {0, 1}
 
 
 class TestShutdown:

@@ -17,7 +17,6 @@ from repro.serve.jobs import (
     JobQueue,
     QueueFullError,
     UnknownJobError,
-    job_owner,
 )
 from repro.serve.limits import InflightGate, RateLimiter
 from repro.serve.router import HttpError, Request, Response, Router
@@ -190,14 +189,6 @@ class TestInflightGate:
 
 
 class TestJobOwner:
-    def test_multi_worker_ids_carry_their_owner(self):
-        assert job_owner("job-w0-abc123") == 0
-        assert job_owner("job-w17-abc123") == 17
-
-    def test_single_process_ids_have_no_owner(self):
-        assert job_owner("job-abc123") is None
-        assert job_owner("not-a-job-id") is None
-
     def test_queue_mints_owned_ids(self):
         async def scenario():
             queue = JobQueue(lambda k, p: None, worker_index=3)
@@ -205,7 +196,6 @@ class TestJobOwner:
 
         job = asyncio.run(scenario())
         assert job.job_id.startswith("job-w3-")
-        assert job_owner(job.job_id) == 3
 
 
 class TestMicroBatcher:

@@ -198,12 +198,17 @@ class TestObservability:
         assert "no metrics snapshot found" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_stats_with_corrupt_snapshot(self, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"metrics": [1]}'],
+        ids=["not-json", "not-utf8", "list", "metrics-list"],
+    )
+    def test_stats_with_corrupt_snapshot(self, capsys, content):
         from repro.cli import _metrics_path
 
         path = _metrics_path()
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["stats"]) == 1
         captured = capsys.readouterr()
         assert "unreadable" in captured.err
