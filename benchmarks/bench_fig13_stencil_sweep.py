@@ -1,7 +1,6 @@
 """E-F13: Fig 13 — 3D stencil power/timing/CMOS design-space sweep.
 
-Sweeps the full Table III partitioning range with a representative set of
-simplification degrees and nodes, and reports the runtime-power Pareto
+Sweeps the full Table III grid and reports the runtime-power Pareto
 frontier and the energy-efficiency optimum (paper: 5nm, high partitioning,
 high-but-not-extreme simplification).
 
@@ -21,22 +20,15 @@ from conftest import emit
 from repro.accel.engine import SweepEngine
 from repro.accel.power import evaluate_design
 from repro.accel.resources import ResourceLibrary
-from repro.accel.sweep import ScheduleCache, default_design_grid, table3_partitions
+from repro.accel.sweep import ScheduleCache, default_design_grid
 from repro.reporting.tables import render_rows
 from repro.workloads import s3d
-
-NODES = (45.0, 32.0, 22.0, 14.0, 10.0, 7.0, 5.0)
-SIMPLIFICATIONS = (1, 3, 5, 7, 9, 11, 13)
 
 
 def test_fig13_stencil_sweep(benchmark, tmp_path):
     kernel = s3d.build()
     cache_dir = tmp_path / "dse-cache"
-    grid = default_design_grid(
-        nodes=NODES,
-        partitions=table3_partitions(4096),
-        simplifications=SIMPLIFICATIONS,
-    )
+    grid = default_design_grid()
 
     def run_cold():
         return SweepEngine(jobs=1, cache_dir=cache_dir).sweep(kernel, grid)

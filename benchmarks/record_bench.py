@@ -1,8 +1,8 @@
-"""Record one small-grid Fig 13 sweep as a ``BENCH_*.json`` entry.
+"""Record one Fig 13 sweep as a ``BENCH_*.json`` entry.
 
 CI's benchmark smoke job runs this after the shape-asserting benches: it
-executes the representative (fast) Fig 13 grid through the parallel
-engine with the observability layer on, then writes one self-contained
+executes the Fig 13 Table III grid through the parallel engine with the
+observability layer on, then writes one self-contained
 JSON entry — engine stats, per-stage span times, and the metrics
 snapshot — so the perf trajectory of the DSE pipeline accumulates one
 point per commit.  The Chrome trace goes next to it for the artifact
@@ -48,10 +48,6 @@ from repro.obs.trace import Tracer, set_tracer
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger, capture
 from repro.workloads import s3d
 
-#: The CLI's fast Fig 13 sub-grid (see repro.reporting.export).
-PARTITIONS = (1, 4, 16, 64, 256, 1024)
-SIMPLIFICATIONS = (1, 3, 5, 7, 9, 11, 13)
-
 
 def scalar_oracle(kernel, grid) -> SweepStats:
     """Time the per-point oracle: ``evaluate_design`` over ``ScheduleCache.get``."""
@@ -69,11 +65,9 @@ def scalar_oracle(kernel, grid) -> SweepStats:
 
 
 def run(jobs: int, mode: str = "vectorized") -> dict:
-    """One cold small-grid sweep under a fresh tracer and metrics registry."""
+    """One cold Table III sweep under a fresh tracer and metrics registry."""
     kernel = s3d.build()
-    grid = default_design_grid(
-        partitions=PARTITIONS, simplifications=SIMPLIFICATIONS
-    )
+    grid = default_design_grid()
     tracer = Tracer()
     reset_metrics()
     set_tracer(tracer)

@@ -25,13 +25,6 @@ from repro.dfg.analysis import analyze
 from repro.reporting.tables import render_rows, table2_concept_limits
 from repro.workloads import get_workload
 
-# A representative sub-grid of Table III (the full 1820-point grid also
-# works; it just takes a few seconds).
-PARTITIONS = (1, 4, 16, 64, 256, 1024)
-SIMPLIFICATIONS = (1, 3, 5, 7, 9, 11, 13)
-NODES = (45.0, 22.0, 10.0, 5.0)
-
-
 #: Survives across runs of the example, so a rerun is served from cache.
 CACHE_DIR = Path(tempfile.gettempdir()) / "accelerator-wall-example-cache"
 
@@ -46,11 +39,8 @@ def main() -> None:
     print("\n=== Table II limits for this kernel ===")
     print(render_rows(table2_concept_limits(stats)))
 
-    # Fig 13: the runtime-power space.
-    grid = default_design_grid(
-        nodes=NODES, partitions=PARTITIONS, simplifications=SIMPLIFICATIONS
-    )
-    result = engine.sweep(kernel, grid)
+    # Fig 13: the runtime-power space over the full Table III grid.
+    result = engine.sweep(kernel, default_design_grid())
     frontier = result.pareto_frontier()
     print(f"\n=== Fig 13: swept {len(result)} design points, "
           f"{len(frontier)} on the runtime-power Pareto frontier ===")
@@ -72,11 +62,7 @@ def main() -> None:
     # schedule cache serves both metrics (and later reruns).
     schedule_cache = engine.schedule_cache(kernel)
     for metric in ("throughput", "energy_efficiency"):
-        attribution = attribute_gains(
-            kernel, metric=metric,
-            partitions=PARTITIONS, simplifications=SIMPLIFICATIONS,
-            cache=schedule_cache,
-        )
+        attribution = attribute_gains(kernel, metric=metric, cache=schedule_cache)
         shares = ", ".join(
             f"{concept} {share:.0f}%"
             for concept, share in sorted(

@@ -500,15 +500,7 @@ def _plot_body(args, engine_box) -> int:
 
         engine = engine_box["engine"] = _dse_engine(args)
         kernel = engine.trace(get_workload("S3D"))
-        if getattr(args, "full_grid", False):
-            grid = default_design_grid()  # full Table III cross product
-        else:
-            grid = default_design_grid(
-                nodes=(45.0, 22.0, 10.0, 5.0),
-                partitions=(1, 4, 16, 64, 256, 1024),
-                simplifications=(1, 5, 9, 13),
-            )
-        result = engine.sweep(kernel, grid)
+        result = engine.sweep(kernel, default_design_grid())
         print(plot_runtime_power(result.reports))
         print(f"[dse] {result.stats.describe()}")
     elif name == "fig15":
@@ -594,7 +586,6 @@ def _cmd_export(args) -> int:
         paths = export_all(
             args.out,
             _model(args),
-            fast=not args.full,
             names=names,
             engine=engine,
             manifest=manifest,
@@ -716,10 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser("plot", help="render a figure as an ASCII plot")
     plot.add_argument("figure", choices=PLOTS)
-    plot.add_argument(
-        "--full-grid", action="store_true",
-        help="fig13: sweep the full Table III grid through the engine (slow)",
-    )
     _add_tech_option(plot)
     _add_dse_options(plot)
     plot.set_defaults(func=_cmd_plot)
@@ -767,10 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="write every artifact as JSON")
     export.add_argument("--out", default="artifacts", help="output directory")
-    export.add_argument(
-        "--full", "--full-grid", dest="full", action="store_true",
-        help="use the full Table III sweep grid for Figs 13-14 (slow)",
-    )
     export.add_argument(
         "--only", default=None, metavar="NAMES",
         help="comma-separated artifact subset (e.g. fig13,table5, or "

@@ -82,7 +82,6 @@ def tech_artifact_builders(tech: str) -> Dict[str, Callable[[], object]]:
 
 def artifact_registry(
     model: Optional[CmosPotentialModel] = None,
-    fast: bool = True,
     engine=None,
 ) -> Dict[str, Callable[[], object]]:
     """The single registry of every resolvable artifact name.
@@ -94,7 +93,7 @@ def artifact_registry(
     """
     from repro.tech import backend_names
 
-    registry = artifact_builders(model, fast, engine=engine)
+    registry = artifact_builders(model, engine=engine)
     for tech in backend_names():
         if tech != "cmos":
             registry.update(tech_artifact_builders(tech))
@@ -103,7 +102,6 @@ def artifact_registry(
 
 def artifact_builders(
     model: Optional[CmosPotentialModel] = None,
-    fast: bool = True,
     engine=None,
     tech: Optional[str] = None,
 ) -> Dict[str, Callable[[], object]]:
@@ -114,8 +112,7 @@ def artifact_builders(
     a plain ``repro export``.  Any other registered backend selects that
     technology's artifact family (see :func:`tech_artifact_builders`).
 
-    With ``fast=True`` the DSE artifacts (Figs 13-14) use a representative
-    Table III sub-grid; ``fast=False`` runs the full sweep ranges.
+    The DSE artifacts (Figs 13-14) sweep the paper's full Table III grid.
     *engine* (a :class:`repro.accel.engine.SweepEngine`) runs those two
     artifacts sharded across worker processes with the persistent cache.
     """
@@ -124,12 +121,6 @@ def artifact_builders(
 
         return tech_artifact_builders(get_backend(tech).name)
     cmos = model if model is not None else CmosPotentialModel.paper()
-    if fast:
-        partitions = (1, 4, 16, 64, 256, 1024)
-        simplifications = (1, 3, 5, 7, 9, 11, 13)
-    else:
-        partitions = None
-        simplifications = None
     return {
         "table1": tables.table1_specialization_concepts,
         "table2": _table2_payload,
@@ -146,12 +137,8 @@ def artifact_builders(
         "fig6_7": lambda: figures.fig6_7_architecture_scaling(cmos),
         "fig8": lambda: figures.fig8_fpga_cnn(cmos),
         "fig9": lambda: figures.fig9_bitcoin_platforms(cmos),
-        "fig13": lambda: figures.fig13_stencil_sweep(
-            partitions=partitions, simplifications=simplifications, engine=engine
-        ),
-        "fig14": lambda: figures.fig14_gain_attribution(
-            partitions=partitions, simplifications=simplifications, engine=engine
-        ),
+        "fig13": lambda: figures.fig13_stencil_sweep(engine=engine),
+        "fig14": lambda: figures.fig14_gain_attribution(engine=engine),
         "fig15_16": lambda: figures.fig15_16_projections(cmos),
     }
 
@@ -216,35 +203,9 @@ def _finish_manifest(manifest, payloads: Dict[str, object], engine) -> None:
         manifest.engine = engine.provenance()
 
 
-def export_artifact(
-    name: str,
-    directory: PathLike,
-    model: Optional[CmosPotentialModel] = None,
-    fast: bool = True,
-    engine=None,
-    manifest=None,
-) -> Path:
-    """Regenerate one artifact and write ``<directory>/<name>.json``."""
-    return export_all(
-        directory, model, fast=fast, names=[name], engine=engine,
-        manifest=manifest,
-    )[name]
-
-
-def export_tech_artifacts(
-    tech: str,
-    directory: PathLike,
-    manifest=None,
-    ledger=None,
-) -> Dict[str, Path]:
-    """Export one backend's full per-technology artifact family."""
-    return export_all(directory, manifest=manifest, ledger=ledger, tech=tech)
-
-
 def export_all(
     directory: PathLike,
     model: Optional[CmosPotentialModel] = None,
-    fast: bool = True,
     names: Optional[Sequence[str]] = None,
     engine=None,
     manifest=None,
@@ -269,11 +230,11 @@ def export_all(
     """
     from repro.provenance.manifest import RunLedger, capture
 
-    registry = artifact_registry(model, fast, engine=engine)
+    registry = artifact_registry(model, engine=engine)
     if names is not None:
         selected = list(names)
     else:
-        selected = sorted(artifact_builders(model, fast, engine=engine, tech=tech))
+        selected = sorted(artifact_builders(model, engine=engine, tech=tech))
     if not selected:
         # e.g. `--only ,` — an accidentally empty selection should not
         # silently export nothing.

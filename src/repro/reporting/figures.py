@@ -201,17 +201,12 @@ def fig9_bitcoin_platforms(
 # -- Section VI: design-space exploration -----------------------------------------
 
 
-def fig13_stencil_sweep(
-    partitions: Optional[Sequence[int]] = None,
-    simplifications: Optional[Sequence[int]] = None,
-    nodes: Optional[Sequence[float]] = None,
-    engine=None,
-) -> List[Dict[str, float]]:
+def fig13_stencil_sweep(engine=None) -> List[Dict[str, float]]:
     """Fig 13: 3D-stencil design points in the runtime-power space.
 
-    The sweep runs on *engine* (a :class:`repro.accel.engine.SweepEngine`;
-    default: serial and uncached), whose ``last_stats`` then reflect this
-    figure.
+    Sweeps the full Table III grid on *engine* (a
+    :class:`repro.accel.engine.SweepEngine`; default: serial and uncached),
+    whose ``last_stats`` then reflect this figure.
     """
     from repro.accel.engine import SweepEngine
     from repro.accel.sweep import default_design_grid
@@ -220,12 +215,7 @@ def fig13_stencil_sweep(
     if engine is None:
         engine = SweepEngine()
     kernel = engine.trace(get_workload("S3D"))
-    grid = default_design_grid(
-        nodes=nodes if nodes is not None else (45.0, 32.0, 22.0, 14.0, 10.0, 7.0, 5.0),
-        partitions=partitions,
-        simplifications=simplifications,
-    )
-    result = engine.sweep(kernel, grid)
+    result = engine.sweep(kernel, default_design_grid())
     return [
         {
             "node_nm": r.design.node_nm,
@@ -242,15 +232,13 @@ def fig13_stencil_sweep(
 def fig14_gain_attribution(
     metric: str = "throughput",
     workload_abbrevs: Optional[Sequence[str]] = None,
-    partitions: Optional[Sequence[int]] = None,
-    simplifications: Optional[Sequence[int]] = None,
     engine=None,
 ) -> List[Dict[str, object]]:
     """Fig 14: per-kernel gain attribution across specialization concepts.
 
-    Kernels are traced and attributed on *engine* (a
-    :class:`repro.accel.engine.SweepEngine`; default: serial and uncached),
-    with identical values for any ``jobs``.
+    Kernels are traced and attributed over the full Table III grid on
+    *engine* (a :class:`repro.accel.engine.SweepEngine`; default: serial
+    and uncached), with identical values for any ``jobs``.
     """
     from repro.accel.engine import SweepEngine
     from repro.workloads import WORKLOADS, get_workload
@@ -265,8 +253,6 @@ def fig14_gain_attribution(
     attributions = engine.attribute_all(
         [engine.trace(workload) for workload in workloads],
         metric=metric,
-        partitions=partitions,
-        simplifications=simplifications,
     )
     return [
         {

@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ValidationError
 from repro.obs.log import get_logger, kv, set_log_run_id
@@ -75,12 +75,6 @@ from repro.serve.router import HttpError, Request, Response, Router
 __all__ = ["ServeApp", "ServeConfig", "ServerHandle"]
 
 logger = get_logger("serve.http")
-
-#: Sub-grids used by non-``full`` evaluate/attribute/sweep requests — the
-#: same representative Table III subsets as ``repro export`` (fast mode),
-#: so served DSE numbers line up with the exported fast artifacts.
-FAST_PARTITIONS: Tuple[int, ...] = (1, 4, 16, 64, 256, 1024)
-FAST_SIMPLIFICATIONS: Tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13)
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
@@ -367,18 +361,10 @@ class ServeApp:
             self._studies[name] = study
         return study
 
-    def fast_subsets(
-        self, full: bool
-    ) -> Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]:
-        """(partitions, simplifications) — ``None`` means full Table III."""
-        if full:
-            return None, None
-        return FAST_PARTITIONS, FAST_SIMPLIFICATIONS
-
     def artifact_names(self) -> List[str]:
         from repro.reporting.export import artifact_registry
 
-        return sorted(artifact_registry(self.model, fast=True))
+        return sorted(artifact_registry(self.model))
 
     def tech_backend(self, name: str):
         """Resolve a technology backend name; 400 with the valid names."""
@@ -413,7 +399,7 @@ class ServeApp:
             return value
 
         def build() -> Any:
-            builders = artifact_registry(self.model, fast=True, engine=self.engine)
+            builders = artifact_registry(self.model, engine=self.engine)
             try:
                 builder = builders[name]
             except KeyError:
@@ -492,12 +478,11 @@ class ServeApp:
 
         abbrev = params["workload"]
         kernel = self.kernel(abbrev)
-        partitions, simplifications = self.fast_subsets(params.get("full", False))
         try:
             grid = default_design_grid(
                 nodes=tuple(params.get("nodes") or SWEEP_NODES),
-                partitions=params.get("partitions") or partitions,
-                simplifications=params.get("simplifications") or simplifications,
+                partitions=params.get("partitions"),
+                simplifications=params.get("simplifications"),
             )
         except ReproError as exc:
             raise ValidationError(f"invalid sweep grid: {exc}")

@@ -618,8 +618,7 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
     """Fig 14 gain attribution for one workload.
 
     Body: ``{"workload": "FFT", "metric"?: "throughput", "node_nm"?: 5,
-    "baseline_node_nm"?: 45}``.  Runs over the representative (fast)
-    sweep subsets unless ``full`` is true.
+    "baseline_node_nm"?: 45}``.  Runs over the full Table III grid.
     """
     body = request.json_object()
     workload = body.get("workload")
@@ -633,20 +632,16 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
             f"unknown metric {metric!r}",
             valid_metrics=["throughput", "energy_efficiency"],
         )
-    full = _boolean(body, "full", False)
     node_nm = _number(body, "node_nm", 5.0)
     baseline_node_nm = _number(body, "baseline_node_nm", 45.0)
 
     def compute() -> Dict[str, Any]:
         kernel = app.kernel(workload)
-        partitions, simplifications = app.fast_subsets(full)
         (attribution,) = app.engine.attribute_all(
             [kernel],
             metric=metric,
             node_nm=node_nm,
             baseline_node_nm=baseline_node_nm,
-            partitions=partitions,
-            simplifications=simplifications,
         )
         return {
             "workload": kernel.name,
@@ -663,17 +658,18 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
 
 
 async def sweeps_submit(app, request: Request) -> Any:
-    """Submit a full sweep as a background job; returns the job id.
+    """Submit a sweep as a background job; returns the job id.
 
     Body: ``{"workload": "S3D", "nodes"?: [...], "partitions"?: [...],
-    "simplifications"?: [...], "full"?: false}``.
+    "simplifications"?: [...]}``.  Each omitted list takes its full
+    Table III range.
     """
     body = request.json_object()
     workload = body.get("workload", "S3D")
     if not isinstance(workload, str):
         raise HttpError(400, f"workload must be a string, got {workload!r}")
     app.workload(workload)
-    params: Dict[str, Any] = {"workload": workload, "full": _boolean(body, "full", False)}
+    params: Dict[str, Any] = {"workload": workload}
     for name in ("nodes", "partitions", "simplifications"):
         values = body.get(name)
         if values is None:

@@ -77,7 +77,7 @@ def build_snapshot(model: Optional[Any] = None) -> ServeSnapshot:
         kernels = {
             abbrev: get_workload(abbrev).build() for abbrev in SNAPSHOT_WORKLOADS
         }
-        builders = artifact_builders(model, fast=True)
+        builders = artifact_builders(model)
         artifacts = {
             name: _jsonable(builders[name]())
             for name in SNAPSHOT_ARTIFACTS

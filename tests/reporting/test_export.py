@@ -9,7 +9,6 @@ from repro.reporting.export import (
     artifact_builders,
     artifact_registry,
     export_all,
-    export_artifact,
     tech_artifact_builders,
 )
 
@@ -28,14 +27,14 @@ class TestExport:
         } == names
 
     def test_export_single_artifact(self, tmp_path, paper_model):
-        path = export_artifact("table5", tmp_path, paper_model)
+        path = export_all(tmp_path, paper_model, names=["table5"])["table5"]
         envelope = _load(path)
         assert envelope["schema_version"] == SCHEMA_VERSION
         assert len(envelope["data"]) == 4
 
     def test_export_unknown_artifact(self, tmp_path):
         with pytest.raises(ValueError):
-            export_artifact("fig99", tmp_path)
+            export_all(tmp_path, names=["fig99"])
 
     def test_export_subset(self, tmp_path, paper_model):
         paths = export_all(
@@ -47,15 +46,36 @@ class TestExport:
             json.loads(path.read_text())  # valid JSON
 
     def test_fig3d_tuple_keys_serialised(self, tmp_path, paper_model):
-        path = export_artifact("fig3d", tmp_path, paper_model)
+        path = export_all(tmp_path, paper_model, names=["fig3d"])["fig3d"]
         payload = _load(path)["data"]
         assert isinstance(payload, dict)
         assert all(isinstance(k, str) for k in payload)
 
     def test_directory_created(self, tmp_path, paper_model):
         nested = tmp_path / "a" / "b"
-        path = export_artifact("table1", nested, paper_model)
+        path = export_all(nested, paper_model, names=["table1"])["table1"]
         assert path.parent == nested
+
+
+class TestDseArtifacts:
+    """Figs 13-14 export over the paper's one DSE grid, Table III."""
+
+    def test_fig13_has_one_row_per_table3_point(self, tmp_path):
+        from repro.accel.sweep import default_design_grid
+
+        rows = _load(export_all(tmp_path, names=["fig13"])["fig13"])["data"]
+        assert len(rows) == len(default_design_grid()) == 1820
+
+    def test_fig14_equals_the_table3_attribution(self, tmp_path):
+        from repro.accel.attribution import attribute_gains
+        from repro.workloads import get_workload
+
+        rows = _load(export_all(tmp_path, names=["fig14"])["fig14"])["data"]
+        (red,) = [row for row in rows if row["workload"] == "RED"]
+        expected = attribute_gains(get_workload("RED").build(), "throughput")
+        assert red["total_gain"] == expected.total_gain
+        assert red["csr"] == expected.csr
+        assert red["shares"] == expected.shares
 
 
 class TestTechArtifacts:
@@ -98,7 +118,7 @@ class TestTechArtifacts:
         assert sorted(artifact_builders(paper_model, tech="cmos")) == sorted(
             artifact_builders(paper_model)
         )
-        plain = export_artifact("table5", tmp_path / "plain", paper_model)
+        plain = export_all(tmp_path / "plain", paper_model, names=["table5"])["table5"]
         via_tech = export_all(
             tmp_path / "tech", paper_model, names=["table5"], tech="cmos"
         )["table5"]
@@ -137,7 +157,7 @@ class TestProvenanceEnvelope:
     """Every artifact carries the run's manifest block (issue acceptance)."""
 
     def test_manifest_block_fields(self, tmp_path, paper_model):
-        path = export_artifact("table5", tmp_path, paper_model)
+        path = export_all(tmp_path, paper_model, names=["table5"])["table5"]
         block = _load(path)["manifest"]
         assert block["schema_version"] == SCHEMA_VERSION
         assert block["command"] == "export"

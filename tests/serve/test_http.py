@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from repro.provenance.drift import compare_golden, flatten_scalars
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger
 
-#: Artifacts cheap enough to export inside a test (no sweep engine runs).
-PARITY_ARTIFACTS = ("fig1", "fig3d", "fig15_16", "table5")
+#: Artifacts cheap enough to export inside a test; fig13 is the one that
+#: runs the sweep engine.
+PARITY_ARTIFACTS = ("fig1", "fig3d", "fig13", "fig15_16", "table5")
 
 
 class TestProvenanceEnvelope:
@@ -295,13 +296,29 @@ class TestQueryEndpoints:
             {"workload": "FFT", "node_nm": [5]},
             {"workload": "FFT", "node_nm": True},
             {"workload": "FFT", "baseline_node_nm": None},
-            {"workload": "FFT", "full": "false"},  # bool("false") is True
-            {"workload": "FFT", "full": 1},
         ]
         for body in bad:
             status, payload, _ = client.post("/attribute", body)
             assert status == 400, body
             assert "must be a" in payload["data"]["error"], body
+
+    def test_attribute_equals_the_table3_attribution(self, client):
+        from repro.accel.attribution import attribute_gains
+        from repro.workloads import get_workload
+
+        expected = attribute_gains(get_workload("RED").build(), "throughput")
+        # The benchmark sends "full": true; like any unknown field it is
+        # ignored.
+        for body in ({"workload": "RED"}, {"workload": "RED", "full": True}):
+            status, payload, _ = client.post("/attribute", body)
+            assert status == 200
+            assert payload["data"] == {
+                "workload": expected.kernel,
+                "metric": "throughput",
+                "total_gain": expected.total_gain,
+                "csr": expected.csr,
+                "shares": expected.shares,
+            }
 
     def test_attribute_returns_share_decomposition(self, client):
         status, payload, _ = client.post("/attribute", {"workload": "FFT"})

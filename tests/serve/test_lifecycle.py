@@ -144,6 +144,20 @@ class TestSweepJobs:
         assert result["pareto_frontier"]
         assert result["stats"]["design_points"] == 2
 
+    def test_job_without_lists_sweeps_the_table3_grid(self, jobs_client):
+        status, payload, _ = jobs_client.post("/sweeps", {"workload": "S3D"})
+        assert status == 202
+        job_id = payload["data"]["job"]["job_id"]
+
+        def settled():
+            _, poll, _ = jobs_client.get(f"/sweeps/{job_id}")
+            entry = poll["data"]["job"]
+            return entry if entry["status"] in ("done", "failed") else None
+
+        entry = wait_for(settled)
+        assert entry["status"] == "done", entry["error"]
+        assert entry["result"]["design_points"] == 1820  # 7 x 20 x 13
+
     def test_invalid_grid_fails_the_job_not_the_server(self, jobs_client):
         bad = {"workload": "FFT", "partitions": [3]}  # not a power of two
         status, payload, _ = jobs_client.post("/sweeps", bad)
@@ -163,13 +177,6 @@ class TestSweepJobs:
         status, payload, _ = jobs_client.post("/sweeps", {"workload": "NOPE"})
         assert status == 400
         assert "valid_workloads" in payload["data"]
-
-    def test_non_boolean_full_is_rejected_at_submit(self, jobs_client):
-        status, payload, _ = jobs_client.post(
-            "/sweeps", {"workload": "FFT", "full": "false"}
-        )
-        assert status == 400
-        assert "full must be a boolean" in payload["data"]["error"]
 
     def test_cancel_queued_job_and_409_on_running(self, jobs_server, jobs_client):
         # Hold the single job worker on a gate until the assertions are
