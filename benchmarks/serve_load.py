@@ -3,10 +3,7 @@
 Starts an in-process server (:class:`repro.serve.ServerHandle`), drives
 it with N concurrent clients sending a mixed traffic pattern (evaluate,
 what-if, CMOS gains, CSR series), and records per-endpoint p50/p95/p99
-latency and aggregate throughput.  The evaluate endpoint is additionally
-measured **twice** — once with micro-batching on and once with it off —
-so each entry carries the batched-vs-unbatched throughput ratio the
-acceptance criterion tracks.
+latency and aggregate throughput.
 
 A final phase repeats the mixed pattern against ``repro serve
 --workers N`` (the forking supervisor) for each worker count, recording
@@ -31,7 +28,7 @@ import statistics
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.provenance.manifest import SCHEMA_VERSION
 from repro.serve import ServeConfig, ServerHandle, SupervisorHandle
@@ -45,20 +42,8 @@ EVALUATE_POINTS = (
     {"workload": "S3D", "node_nm": 10.0, "partition": 4, "simplification": 3},
 )
 
-#: Cold design points for the batched-vs-unbatched comparison: every
-#: (partition, simplification) pair schedules from scratch (~10ms), and all
-#: clients request the *same* point at the same step — the concurrent-
-#: duplicate pattern of a dashboard fanning one query out.  Batching
-#: coalesces each point onto one schedule; without it every client pays
-#: the full scheduling cost redundantly.
-COLD_POINTS = tuple(
-    {"workload": "FFT", "node_nm": 5.0, "partition": p, "simplification": s}
-    for s in (3, 5, 7, 9, 11)
-    for p in (2, 8, 32, 128, 512)
-)
-
-#: Kernel-trace warmup only — not part of any phase's design cycle, so the
-#: phases stay schedule-cold while workload tracing happens up front.
+#: Kernel-trace warmup: one point per kernel, so workload tracing happens
+#: before any phase is timed.
 TRACE_WARMUP = (
     {"workload": "FFT", "node_nm": 45.0, "partition": 1, "simplification": 1},
     {"workload": "GMM", "node_nm": 45.0, "partition": 1, "simplification": 1},
@@ -155,21 +140,6 @@ def mixed_phase(port: int, clients: int, requests: int) -> Dict[str, Any]:
     return run_phase(port, clients, worker)
 
 
-def evaluate_phase(port: int, clients: int, requests: int) -> Dict[str, Any]:
-    """Evaluate-only phase used for the batched-vs-unbatched comparison.
-
-    All clients walk :data:`COLD_POINTS` in the *same* order (no per-client
-    offset), so at any instant the in-flight requests are concurrent
-    duplicates of a schedule-cold design point.
-    """
-
-    def worker(client: Client, index: int) -> None:
-        for i in range(min(requests, len(COLD_POINTS))):
-            client.request("POST", "/evaluate", COLD_POINTS[i], "evaluate")
-
-    return run_phase(port, clients, worker)
-
-
 def run_phase(port: int, clients: int, worker) -> Dict[str, Any]:
     pool = [Client(port, f"load-{i}") for i in range(clients)]
     threads = [
@@ -235,22 +205,19 @@ def telemetry_sample(port: int) -> Dict[str, Any]:
     return {"histogram": histogram, "slowest": slowest}
 
 
-def with_server(
-    batching: bool, fn, warm: Tuple[dict, ...] = TRACE_WARMUP
-) -> Dict[str, Any]:
-    """Run *fn(port)* against a fresh server; kernels pre-traced via *warm*."""
+def with_server(fn) -> Dict[str, Any]:
+    """Run *fn(port)* against a fresh, warmed server."""
     config = ServeConfig(
         port=0,
-        batching=batching,
-        response_cache=0,  # isolate batching: no response-level caching
+        response_cache=0,  # every request reaches the model
         threads=8,
     )
     handle = ServerHandle(config).start()
     try:
-        # Trace each kernel once up front so the phase measures steady-state
-        # serving, not one-time workload tracing.
+        # Trace each kernel and schedule the mixed design points up front
+        # so the phase measures steady-state serving, not first touches.
         probe = Client(handle.port, "warmup")
-        for body in warm:
+        for body in TRACE_WARMUP + EVALUATE_POINTS:
             probe.request("POST", "/evaluate", body, "warmup")
         probe.close()
         return fn(handle.port)
@@ -304,18 +271,7 @@ def run(clients: int, requests: int, worker_counts: Sequence[int] = ()) -> dict:
         result["telemetry"] = telemetry_sample(port)
         return result
 
-    mixed = with_server(True, mixed_with_telemetry, warm=TRACE_WARMUP + EVALUATE_POINTS)
-    batched = with_server(
-        True, lambda port: evaluate_phase(port, clients, requests)
-    )
-    unbatched = with_server(
-        False, lambda port: evaluate_phase(port, clients, requests)
-    )
-    ratio = (
-        batched["throughput_rps"] / unbatched["throughput_rps"]
-        if unbatched["throughput_rps"] > 0
-        else float("nan")
-    )
+    mixed = with_server(mixed_with_telemetry)
     entry = {
         "bench": "serve_load",
         "schema_version": SCHEMA_VERSION,
@@ -329,9 +285,6 @@ def run(clients: int, requests: int, worker_counts: Sequence[int] = ()) -> dict:
             "worker_counts": list(worker_counts),
         },
         "mixed": mixed,
-        "evaluate_batched": batched,
-        "evaluate_unbatched": unbatched,
-        "batched_speedup": ratio,
     }
     if worker_counts:
         entry["workers"] = worker_scaling_phase(clients, requests, worker_counts)
@@ -372,16 +325,15 @@ def main(argv=None) -> int:
     mixed = entry["mixed"]
     line = (
         f"wrote {path}: {mixed['requests_ok']} requests at "
-        f"{mixed['throughput_rps']:.1f} req/s "
-        f"(batched evaluate speedup {entry['batched_speedup']:.2f}x"
+        f"{mixed['throughput_rps']:.1f} req/s"
     )
     if "workers_speedup" in entry:
         top = max(entry["workers"]["results"], key=int)
         line += (
-            f", {top}-worker mixed speedup {entry['workers_speedup']:.2f}x "
-            f"on {entry['workers']['cpu_count']} cpu(s)"
+            f" ({top}-worker mixed speedup {entry['workers_speedup']:.2f}x "
+            f"on {entry['workers']['cpu_count']} cpu(s))"
         )
-    print(line + ")")
+    print(line)
     return 0
 
 

@@ -612,9 +612,6 @@ def _cmd_serve(args) -> int:
         use_cache=not getattr(args, "no_cache", False)
         and (getattr(args, "cache_dir", None) is not None or workers > 1),
         workers=workers,
-        batching=not args.no_batching,
-        batch_window_s=args.batch_window_ms / 1e3,
-        batch_max=args.batch_max,
         response_cache=args.response_cache,
         rate_limit=args.rate_limit,
         max_inflight=args.max_inflight,
@@ -765,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve the model over HTTP (JSON endpoints, batching, jobs)",
+        help="serve the model over HTTP (JSON endpoints, background jobs)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: loopback)"
@@ -785,18 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent DSE cache even if a directory is set",
-    )
-    serve.add_argument(
-        "--no-batching", action="store_true",
-        help="disable request micro-batching (each request evaluates alone)",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="micro-batch collection window (default: 2ms)",
-    )
-    serve.add_argument(
-        "--batch-max", type=int, default=64, metavar="N",
-        help="max distinct payloads per batch flush (default: 64)",
     )
     serve.add_argument(
         "--response-cache", type=int, default=1024, metavar="N",

@@ -1,8 +1,8 @@
-"""``repro.serve`` — the async, batched, observable model-serving layer.
+"""``repro.serve`` — the async, observable model-serving layer.
 
 Started via ``repro serve``; loads the fitted CMOS model, case studies,
 and sweep engine once, then answers the paper's core queries over a
-stdlib-only asyncio HTTP server with micro-batching, background sweep
+stdlib-only asyncio HTTP server with a response LRU, background sweep
 jobs, rate limiting, load shedding, Prometheus metrics, and
 provenance-stamped responses.  ``repro serve --workers N`` scales the
 same server across cores under a forking supervisor whose shared
@@ -11,7 +11,7 @@ published metrics (see ``docs/METHODOLOGY.md`` §12 and §14).
 """
 
 from repro.serve.app import ServeApp, ServeConfig, ServerHandle
-from repro.serve.batching import LruCache, MicroBatcher
+from repro.serve.cache import LruCache
 from repro.serve.debug import FlightRecorder, RequestRecord
 from repro.serve.jobs import Job, JobQueue, QueueFullError, UnknownJobError
 from repro.serve.limits import InflightGate, RateLimiter
@@ -27,7 +27,6 @@ __all__ = [
     "RequestRecord",
     "JobQueue",
     "LruCache",
-    "MicroBatcher",
     "QueueFullError",
     "RateLimiter",
     "Request",

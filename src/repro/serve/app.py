@@ -11,7 +11,7 @@ Request flow::
     connection -> parse -> rate limit -> route -> handler
                                           |          |
                                           |          +-- run_blocking (thread pool)
-                                          |          +-- MicroBatcher (vectorized)
+                                          |          +-- cached: response LRU, miss -> run_blocking
                                           |          +-- JobQueue (background sweeps)
                                           +-- 429 Too Many Requests
 
@@ -61,13 +61,9 @@ from repro.obs.trace import (
     trace_scope,
 )
 from repro.provenance.manifest import read_json_object, write_json_atomic
-from repro.serve.batching import LruCache, MicroBatcher
+from repro.serve.cache import LruCache
 from repro.serve.debug import FlightRecorder
-from repro.serve.handlers import (
-    compute_evaluate_batch,
-    compute_whatif,
-    register_routes,
-)
+from repro.serve.handlers import register_routes
 from repro.serve.jobs import JobQueue
 from repro.serve.limits import InflightGate, RateLimiter
 from repro.serve.router import HttpError, Request, Response, Router
@@ -117,9 +113,6 @@ class ServeConfig:
     use_cache: bool = False        # persistent schedule cache opt-in
     threads: int = 4               # blocking-work thread pool size
     workers: int = 1               # serve processes (>1 = supervised fork)
-    batching: bool = True
-    batch_window_s: float = 0.002
-    batch_max: int = 64
     response_cache: int = 1024     # LRU entries; 0 disables
     rate_limit: float = 0.0        # requests/s per client; 0 disables
     rate_burst: Optional[float] = None
@@ -230,20 +223,6 @@ class ServeApp:
                 self._artifact_cache.put(name, payload)
         self._response_cache = LruCache(config.response_cache, name="response")
         self.gate = InflightGate(config.max_inflight)
-        self.evaluate_batcher = MicroBatcher(
-            lambda items: compute_evaluate_batch(self, items),
-            max_batch=config.batch_max,
-            window_s=config.batch_window_s,
-            executor=self.executor,
-            name="evaluate",
-        )
-        self.whatif_batcher = MicroBatcher(
-            lambda items: [compute_whatif(self, item) for item in items],
-            max_batch=config.batch_max,
-            window_s=config.batch_window_s,
-            executor=self.executor,
-            name="whatif",
-        )
         self.jobs = JobQueue(
             self._run_job,
             concurrency=config.job_concurrency,
@@ -260,7 +239,6 @@ class ServeApp:
                 run_id=self.manifest.run_id,
                 worker=config.worker_index,
                 jobs=config.jobs,
-                batching=config.batching,
                 rate_limit=config.rate_limit,
                 max_inflight=config.max_inflight,
                 warm_boot=snapshot is not None,
@@ -325,11 +303,11 @@ class ServeApp:
         return cache
 
     def batch_evaluator(self, abbrev: str):
-        """Per-workload :class:`BatchEvaluator` behind batched ``/evaluate``.
+        """Per-workload :class:`BatchEvaluator` behind ``/evaluate``.
 
         Shares the workload's :meth:`schedule_cache`, so array-path and
         scalar-path requests see one schedule memo; macro graphs and scale
-        tables amortize across every batch of the process lifetime.
+        tables amortize across every request of the process lifetime.
         """
         key = abbrev.upper()
         evaluator = self._batch_evaluators.get(key)
@@ -415,23 +393,17 @@ class ServeApp:
         self._artifact_cache.put(name, value)
         return value
 
-    async def batched_evaluate(self, key, item) -> Any:
-        return await self._batched(self.evaluate_batcher, key, item)
+    async def cached(self, key, fn: Callable[[], Any]) -> Any:
+        """The response for canonical request *key*, from the response LRU.
 
-    async def batched_whatif(self, key, item) -> Any:
-        return await self._batched(self.whatif_batcher, key, item)
-
-    async def _batched(self, batcher: MicroBatcher, key, item) -> Any:
+        A miss runs blocking *fn* on the thread pool and stores its
+        result.  *fn* must be a pure function of *key*: concurrent misses
+        on one key each compute and store the same value.
+        """
         hit, value = self._response_cache.get(key)
         if hit:
             return value
-        if self.config.batching:
-            value = await batcher.submit(key, item)
-        else:
-            results = await self.run_blocking(
-                lambda: batcher.batch_fn([item])
-            )
-            value = results[0]
+        value = await self.run_blocking(fn)
         self._response_cache.put(key, value)
         return value
 
@@ -705,6 +677,13 @@ class ServeApp:
         if task is not None:
             self._connections.add(task)
         try:
+            # asyncio sets TCP_NODELAY itself only on listeners created with
+            # proto=IPPROTO_TCP, which run() and the supervisor do not use.
+            # Without it each keep-alive response waits on Nagle plus the
+            # client's delayed ACK (~40 ms).
+            writer.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
             while True:
                 request, keep_alive = await self._read_request(reader, peer_host)
                 if request is None:

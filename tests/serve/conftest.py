@@ -1,7 +1,7 @@
 """Fixtures for the serving-layer tests.
 
-The module-scoped ``server`` fixture starts one in-process server (on an
-ephemeral port, batching on, no rate limit) shared by the endpoint tests;
+The module-scoped ``server`` fixture starts one in-process server (default
+config on an ephemeral port, so no rate limit) shared by the endpoint tests;
 lifecycle tests that need special configuration start their own via
 :func:`make_server`.
 """
@@ -72,7 +72,7 @@ def server_runs_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(server_runs_dir):
-    """One shared batching server for the read-mostly endpoint tests."""
+    """One shared server for the read-mostly endpoint tests."""
     previous = os.environ.get("REPRO_RUNS_DIR")
     os.environ["REPRO_RUNS_DIR"] = str(server_runs_dir)
     handle = make_server()

@@ -45,21 +45,17 @@ class TestServeParser:
         assert args.func.__name__ == "_cmd_serve"
         assert args.port == 8080
         assert args.host == "127.0.0.1"
-        assert not args.no_batching
         assert args.rate_limit == 0.0
         assert args.workers == 1
         assert args.max_inflight == 64
 
     def test_serve_flags_parse(self):
         args = build_parser().parse_args([
-            "serve", "--port", "0", "--jobs", "2", "--no-batching",
-            "--batch-window-ms", "5", "--rate-limit", "10",
+            "serve", "--port", "0", "--jobs", "2", "--rate-limit", "10",
             "--response-cache", "0", "--drain-timeout", "3",
             "--workers", "4", "--max-inflight", "8",
         ])
         assert args.port == 0 and args.jobs == 2
-        assert args.no_batching
-        assert args.batch_window_ms == 5.0
         assert args.rate_limit == 10.0
         assert args.workers == 4
         assert args.max_inflight == 8

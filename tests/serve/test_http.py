@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import http.client
 import json
 import socket
 from typing import List
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.provenance.drift import compare_golden, flatten_scalars
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger
+from repro.serve import ServeApp, ServeConfig, ServerHandle
 
 #: Artifacts cheap enough to export inside a test; fig13 is the one that
 #: runs the sweep engine.
@@ -267,15 +269,25 @@ class TestQueryEndpoints:
         )
         assert status == 400
 
-    def test_evaluate_matches_direct_evaluation(self, client, server):
-        from repro.serve.handlers import compute_evaluate_batch
+    def test_evaluate_matches_direct_evaluation(self, client):
+        from repro.accel.design import DesignPoint
+        from repro.accel.power import evaluate_design
+        from repro.workloads import get_workload
 
-        body = {"workload": "FFT", "node_nm": 5.0, "partition": 16,
-                "simplification": 5, "heterogeneity": True}
-        status, payload, _ = client.post("/evaluate", body)
+        point = {"node_nm": 5.0, "partition": 16, "simplification": 5,
+                 "heterogeneity": True}
+        status, payload, _ = client.post("/evaluate", {"workload": "FFT", **point})
         assert status == 200
-        direct = compute_evaluate_batch(server.app, [body])[0]
-        assert payload["data"] == json.loads(json.dumps(direct))
+        report = evaluate_design(get_workload("FFT").build(), DesignPoint(**point))
+        assert payload["data"] == {
+            "workload": report.kernel,
+            "design": point,
+            "runtime_s": report.runtime_s,
+            "power_w": report.power_w,
+            "energy_nj": report.energy_nj,
+            "throughput_ops": report.throughput_ops,
+            "energy_efficiency": report.energy_efficiency,
+        }
 
     def test_evaluate_validates_input_types(self, client):
         bad = [
@@ -343,6 +355,8 @@ class TestQueryEndpoints:
 
 
 class TestBatchingEquivalence:
+    """Concurrent ``/evaluate`` requests each get their own correct answer."""
+
     def test_concurrent_identical_requests_return_identical_payloads(
         self, client, server
     ):
@@ -355,25 +369,7 @@ class TestBatchingEquivalence:
             responses = [f.result() for f in futures]
         assert all(status == 200 for status, _, _ in responses)
         bodies = {json.dumps(p["data"], sort_keys=True) for _, p, _ in responses}
-        assert len(bodies) == 1  # one coalesced result, shared verbatim
-
-    def test_batched_equals_unbatched_server(self, client, server):
-        """The same request answered with batching off must not change."""
-        from tests.serve.conftest import ServeClient, make_server
-
-        bodies = [
-            {"workload": "FFT", "node_nm": n, "partition": p, "simplification": s}
-            for n, p, s in ((5.0, 8, 3), (7.0, 64, 9), (10.0, 1, 1))
-        ]
-        unbatched = make_server(batching=False)
-        try:
-            plain = ServeClient(unbatched.port)
-            for body in bodies:
-                _, batched_payload, _ = client.post("/evaluate", body)
-                _, plain_payload, _ = plain.post("/evaluate", body)
-                assert batched_payload["data"] == plain_payload["data"]
-        finally:
-            unbatched.stop()
+        assert len(bodies) == 1  # every client gets the same answer
 
     def test_mixed_concurrent_traffic_is_correct_per_request(self, client):
         """Distinct concurrent payloads must each get their own answer."""
@@ -468,3 +464,71 @@ class TestRequestFraming:
         asyncio.run(read_one())
         statuses = _statuses(_exchange(server.port, payload))
         assert all(status < 500 for status in statuses), statuses
+
+
+# -- transport --------------------------------------------------------------------
+
+
+def _shared_listener() -> socket.socket:
+    """A proto-0 listening socket, as ``run()`` and the shared-socket fleet bind it."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(8)
+    return sock
+
+
+def _reuseport_socket() -> socket.socket:
+    """A proto-0 ``SO_REUSEPORT`` socket, bound but not listening, as a
+    reuseport fleet worker gets it."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    sock.bind(("127.0.0.1", 0))
+    return sock
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        "listener",
+        [
+            pytest.param(None, id="server-handle"),
+            pytest.param(_shared_listener, id="shared-listener"),
+            pytest.param(
+                _reuseport_socket,
+                id="reuseport",
+                marks=pytest.mark.skipif(
+                    not hasattr(socket, "SO_REUSEPORT"), reason="no SO_REUSEPORT"
+                ),
+            ),
+        ],
+    )
+    def test_every_response_is_written_with_tcp_nodelay(self, monkeypatch, listener):
+        """Without TCP_NODELAY a keep-alive response waits on Nagle plus the
+        client's delayed ACK.  The option is read off the socket, so the
+        test does not depend on how fast the machine is."""
+        nodelay = []
+        write_response = ServeApp._write_response
+
+        async def recording(self, writer, response, close):
+            sock = writer.get_extra_info("socket")
+            nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            await write_response(self, writer, response, close)
+
+        monkeypatch.setattr(ServeApp, "_write_response", recording)
+        handle = ServerHandle(ServeConfig(port=0))
+        if listener is not None:
+            handle.app.listen_sock = listener()
+        handle.start()
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+            try:
+                for _ in range(3):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                conn.close()
+        finally:
+            handle.stop()
+        assert len(nodelay) == 3 and all(nodelay), nodelay

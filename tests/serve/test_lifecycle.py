@@ -258,20 +258,22 @@ class TestGracefulDrain:
         job = handle.app.jobs.get(job_id)
         assert job.settled
 
-    def test_inflight_request_completes_during_drain(self):
+    def test_inflight_request_completes_during_drain(self, monkeypatch):
+        from repro.serve import handlers
+
         handle = make_server()
         client = ServeClient(handle.port)
         app = handle.app
         # Hold the request's model call on a gate until the drain began.
-        batch_fn = app.evaluate_batcher.batch_fn
+        compute_evaluate = handlers.compute_evaluate
         entered, release = threading.Event(), threading.Event()
 
-        def gated(items):
+        def gated(app, item):
             entered.set()
             release.wait(60.0)
-            return batch_fn(items)
+            return compute_evaluate(app, item)
 
-        app.evaluate_batcher.batch_fn = gated
+        monkeypatch.setattr(handlers, "compute_evaluate", gated)
         results = {}
 
         def request():

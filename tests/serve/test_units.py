@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.obs.metrics import Histogram
-from repro.serve.batching import LruCache, MicroBatcher
+from repro.serve.cache import LruCache
 from repro.serve.handlers import render_prometheus, render_prometheus_multi
 from repro.serve.jobs import (
     CANCELLED,
@@ -196,96 +196,6 @@ class TestJobOwner:
 
         job = asyncio.run(scenario())
         assert job.job_id.startswith("job-w3-")
-
-
-class TestMicroBatcher:
-    def test_concurrent_identical_requests_coalesce(self):
-        calls = []
-
-        def batch_fn(items):
-            calls.append(list(items))
-            return [{"item": item} for item in items]
-
-        async def scenario():
-            batcher = MicroBatcher(batch_fn, window_s=0.01)
-            results = await asyncio.gather(
-                batcher.submit("k", "payload"),
-                batcher.submit("k", "payload"),
-                batcher.submit("k", "payload"),
-            )
-            return results
-
-        results = run(scenario())
-        assert results == [{"item": "payload"}] * 3
-        assert calls == [["payload"]]  # one flush, one coalesced item
-
-    def test_distinct_payloads_batch_together(self):
-        calls = []
-
-        def batch_fn(items):
-            calls.append(list(items))
-            return [item * 2 for item in items]
-
-        async def scenario():
-            batcher = MicroBatcher(batch_fn, window_s=0.01)
-            return await asyncio.gather(
-                batcher.submit("a", 1), batcher.submit("b", 2), batcher.submit("c", 3)
-            )
-
-        assert run(scenario()) == [2, 4, 6]
-        assert len(calls) == 1 and sorted(calls[0]) == [1, 2, 3]
-
-    def test_batched_equals_sequential(self):
-        def batch_fn(items):
-            return [item ** 2 for item in items]
-
-        async def batched():
-            batcher = MicroBatcher(batch_fn, window_s=0.005)
-            return await asyncio.gather(
-                *(batcher.submit(i, i) for i in range(10))
-            )
-
-        async def sequential():
-            batcher = MicroBatcher(batch_fn, window_s=0.0)
-            out = []
-            for i in range(10):
-                out.append(await batcher.submit(i, i))
-            return out
-
-        assert run(batched()) == run(sequential()) == [i ** 2 for i in range(10)]
-
-    def test_batch_exception_fans_out_to_all_waiters(self):
-        def batch_fn(items):
-            raise RuntimeError("boom")
-
-        async def scenario():
-            batcher = MicroBatcher(batch_fn, window_s=0.005)
-            results = await asyncio.gather(
-                batcher.submit("a", 1),
-                batcher.submit("b", 2),
-                return_exceptions=True,
-            )
-            return results
-
-        results = run(scenario())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_max_batch_splits_flushes(self):
-        calls = []
-
-        def batch_fn(items):
-            calls.append(len(items))
-            return list(items)
-
-        async def scenario():
-            batcher = MicroBatcher(batch_fn, max_batch=2, window_s=0.005)
-            return await asyncio.gather(
-                *(batcher.submit(i, i) for i in range(5))
-            )
-
-        assert run(scenario()) == list(range(5))
-        assert all(size <= 2 for size in calls)
-        assert sum(calls) == 5
 
 
 class TestJobQueue:
