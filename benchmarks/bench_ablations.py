@@ -2,8 +2,7 @@
 
 1. Linear vs logarithmic frontier projection (Eq 5 vs Eq 6).
 2. Transistor budget with vs without TDP capping (Fig 3d power zones).
-3. Scheduler with vs without fusion (heterogeneity) and with vs without
-   parallel scratchpad banking (partitioning).
+3. Scheduler with vs without fusion (heterogeneity) and partitioning.
 4. Synthetic vs curated-only datasheet population for the Fig 3b/3c fits.
 """
 
@@ -75,36 +74,6 @@ def test_ablation_scheduler_concepts(benchmark, label, design):
         f"{report.power_w:.3f} W",
     )
     assert report.cycles > 0
-
-
-def test_ablation_banked_vs_pooled_scratchpad(benchmark):
-    """Memory partitioning realism: hashed single-port banks vs an
-    idealised conflict-free multi-port scratchpad."""
-    from repro.accel.resources import ResourceLibrary
-    from repro.accel.scheduler import schedule
-
-    kernel = s3d.build()
-    lib = ResourceLibrary()
-
-    def run():
-        rows = []
-        for p in (4, 16, 64, 256):
-            pooled = schedule(kernel.dfg, partition=p, library=lib).cycles
-            banked = schedule(
-                kernel.dfg, partition=p, library=lib, banked_memory=True
-            ).cycles
-            rows.append(
-                {"partition": p, "pooled_cycles": pooled,
-                 "banked_cycles": banked,
-                 "conflict_overhead": f"{banked / pooled - 1:+.0%}"}
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("Ablation: banked vs pooled scratchpad (S3D)", render_rows(rows))
-    total_pooled = sum(r["pooled_cycles"] for r in rows)
-    total_banked = sum(r["banked_cycles"] for r in rows)
-    assert total_banked >= total_pooled
 
 
 def test_ablation_population_choice(benchmark):

@@ -8,7 +8,7 @@ move — quantifying the robustness of the Section VII conclusions.
 from conftest import emit
 
 from repro.reporting.tables import render_rows
-from repro.wall.limits import _limits, accelerator_wall
+from repro.wall.limits import _limits
 from repro.wall.sensitivity import headroom_spread, wall_sensitivity
 
 
@@ -41,38 +41,3 @@ def test_wall_sensitivity_all_domains(benchmark, paper_model):
     )
     for row in rows:
         assert "x" in row["across_2x_perturbations"]
-
-
-def test_wall_projection_uncertainty(benchmark, paper_model):
-    """Bootstrap CIs on the projected walls: how sure are the headrooms?"""
-    from repro.cmos.bootstrap import bootstrap_projection
-    from repro.wall.projection import ProjectionKind
-
-    def run():
-        rows = []
-        for domain in _limits():
-            report = accelerator_wall(domain, paper_model)
-            study = _limits()[domain].study_factory()
-            series = study.performance_series(paper_model)
-            base = study.chips[0].metric(study.performance_metric)
-            points = [(p.physical, p.gain * base) for p in series]
-            interval = bootstrap_projection(
-                points,
-                report.physical_limit,
-                kind=ProjectionKind.LINEAR,
-                n_resamples=150,
-                seed=3,
-            )
-            rows.append(
-                {
-                    "domain": domain,
-                    "linear_wall": report.projected_linear,
-                    "bootstrap_90pct_ci": f"[{interval.low:.3g}, "
-                                          f"{interval.high:.3g}]",
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("Bootstrap uncertainty of the linear wall projections", render_rows(rows))
-    assert len(rows) == 4

@@ -2,17 +2,15 @@
 """Explore one kernel through the whole stack: trace -> DFG -> limits -> DSE.
 
 Walks the FFT kernel from source to accelerator: concolic tracing, DFG
-statistics, the Table II theoretical concept limits, a Graphviz dump of a
-small slice, and latency- vs streaming-mode evaluations across nodes.
+statistics, the Table II theoretical concept limits, and design
+evaluations across nodes.
 
 Run:  python examples/explore_kernel.py
 """
 
 from repro.accel.design import DesignPoint
 from repro.accel.power import evaluate_design
-from repro.accel.streaming import evaluate_streaming
 from repro.dfg.analysis import analyze, critical_path
-from repro.dfg.visualize import to_dot
 from repro.reporting.tables import render_rows, table2_concept_limits
 from repro.workloads import fft
 
@@ -37,26 +35,18 @@ def main() -> None:
     print("\n=== Table II limits ===")
     print(render_rows(table2_concept_limits(stats)))
 
-    # 4. A peek at the dataflow (first butterfly stage) as Graphviz DOT.
-    slice_ids = set(list(kernel.dfg.node_ids())[:12])
-    print("\n=== DOT fragment (first 12 vertices) ===")
-    print(to_dot(kernel.dfg.subgraph(slice_ids), max_nodes=None))
-
-    # 5. Evaluate across nodes, latency mode and streaming mode.
+    # 4. Evaluate across nodes.
     print("\n=== design evaluations ===")
     rows = []
     for node in (45, 16, 5):
         design = DesignPoint(node_nm=node, partition=16, simplification=5)
-        latency = evaluate_design(kernel, design)
-        streaming = evaluate_streaming(kernel, design)
+        report = evaluate_design(kernel, design)
         rows.append(
             {
                 "node": f"{node}nm",
-                "cycles": latency.cycles,
-                "runtime_ns": latency.runtime_s * 1e9,
-                "power_w": latency.power_w,
-                "stream_II": streaming.initiation_interval,
-                "stream_gops": streaming.throughput_ops / 1e9,
+                "cycles": report.cycles,
+                "runtime_ns": report.runtime_s * 1e9,
+                "power_w": report.power_w,
             }
         )
     print(render_rows(rows))

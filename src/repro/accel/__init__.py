@@ -44,7 +44,6 @@ from repro.accel.attribution import (
     attribute_all,
     attribute_gains,
 )
-from repro.accel.streaming import StreamingReport, evaluate_streaming
 
 __all__ = [
     "TracedArray",
@@ -79,6 +78,4 @@ __all__ = [
     "GainAttribution",
     "attribute_all",
     "attribute_gains",
-    "StreamingReport",
-    "evaluate_streaming",
 ]

@@ -41,10 +41,6 @@ same scheduler semantics (property-tested against
 :func:`repro.accel.scheduler.schedule`).  ``tests/accel/test_batch.py``
 fuzzes this contract with random DFGs × random grids, and ``repro check``
 asserts it on a reference grid.
-
-The batch path does not model banked memory (``banked_memory=True`` is a
-direct-:func:`~repro.accel.scheduler.schedule` feature only); no sweep
-path uses banking.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ class MacroGraph:
     :meth:`schedule` then replays only the event-driven resource loop — or
     skips it outright for saturated partitions — producing a
     :class:`Schedule` bit-identical to
-    :func:`repro.accel.scheduler.schedule` with ``banked_memory=False``.
+    :func:`repro.accel.scheduler.schedule`.
     """
 
     def __init__(self, dfg, library: ResourceLibrary, fusion_window: int):

@@ -20,7 +20,6 @@ Aladdin-style models.
 from __future__ import annotations
 
 import heapq
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -97,20 +96,13 @@ def schedule(
     library: ResourceLibrary,
     fusion_window: int = 1,
     latency_extra: int = 0,
-    banked_memory: bool = False,
 ) -> Schedule:
     """List-schedule *dfg* with *partition* units per class.
 
     Greedy longest-path-priority list scheduling with non-pipelined
     functional units; returns cycle count and the op statistics the power
-    model consumes.
-
-    With ``banked_memory=True`` the scratchpad is modelled as *partition*
-    single-port banks with values statically placed by a hash of their
-    label: two accesses mapping to the same bank serialise even when free
-    ports exist elsewhere.  This is the realistic form of memory
-    partitioning (Table I's "memory module banking"); the default pools all
-    ports, an idealised conflict-free scratchpad.
+    model consumes.  The scratchpad's ports form one pool, an idealised
+    conflict-free scratchpad.
     """
     if partition < 1:
         raise ValueError(f"partition must be >= 1, got {partition}")
@@ -153,31 +145,13 @@ def schedule(
         down = max((priority[s] for s in macro_succs[m]), default=0)
         priority[m] = macro_latency(m) + down
 
-    # Per-class pools of unit free-times.  With banking, each memory macro
-    # is pinned to one single-port bank selected by a stable hash of its
-    # label (static data placement); other classes share `partition` units.
-    def bank_of(macro: int) -> int:
-        node = dfg.node(macro)
-        key = node.label if node.label else str(macro)
-        return zlib.crc32(key.encode()) % partition
-
-    def pool_key(macro: int) -> Tuple[OpClass, int]:
-        klass = macro_class(macro)
-        if banked_memory and klass is OpClass.MEMORY:
-            return (klass, bank_of(macro))
-        return (klass, -1)
-
-    class_list = list(OpClass)
-    demand: Dict[OpClass, int] = {k: 0 for k in class_list}
-    pool_demand: Dict[Tuple[OpClass, int], int] = {}
+    # Per-class pools of unit free-times: `partition` units per class, or
+    # one per macro when the class has fewer.
+    demand: Dict[OpClass, int] = {k: 0 for k in OpClass}
     for m in members:
         demand[macro_class(m)] += 1
-        key = pool_key(m)
-        pool_demand[key] = pool_demand.get(key, 0) + 1
-    pools: Dict[Tuple[OpClass, int], List[float]] = {}
-    for (klass, bank), count in pool_demand.items():
-        units = 1 if bank >= 0 else min(partition, count)
-        pools[(klass, bank)] = [0.0] * units
+    provisioned = {k: min(partition, n) for k, n in demand.items() if n}
+    pools = {k: [0.0] * units for k, units in provisioned.items()}
 
     # Event-driven list scheduling.
     remaining = {m: len(macro_preds[m]) for m in members}
@@ -190,7 +164,7 @@ def schedule(
     makespan = 0.0
     while heap:
         ready, _, m = heapq.heappop(heap)
-        pool = pools[pool_key(m)]
+        pool = pools[macro_class(m)]
         unit_free = heapq.heappop(pool)
         start = max(ready, unit_free)
         finish = start + macro_latency(m)
@@ -210,16 +184,6 @@ def schedule(
         op = _node_op(dfg, nid)
         op_counts[op] = op_counts.get(op, 0) + 1
 
-    provisioned = {}
-    for klass in class_list:
-        if demand[klass] == 0:
-            continue
-        if banked_memory and klass is OpClass.MEMORY:
-            provisioned[klass] = sum(
-                1 for (k, bank) in pools if k is klass and bank >= 0
-            )
-        else:
-            provisioned[klass] = min(partition, demand[klass])
     return Schedule(
         kernel=dfg.name,
         cycles=int(makespan),

@@ -30,11 +30,10 @@ CANONICAL_NODES: tuple[float, ...] = (
 #: The final CMOS node projected by IRDS 2017 and used for the wall study.
 FINAL_NODE: float = 5.0
 
-#: Hard plausibility bounds for node parsing.  Wider than the canonical
-#: roadmap so counterfactual sub-5nm studies (repro.cmos.history) can run;
-#: still narrow enough to catch unit mistakes (e.g. 0.028 for 28nm).
-_MIN_NODE_NM: float = 1.0
-_MAX_NODE_NM: float = 250.0
+#: Bounds for node parsing: the canonical roadmap's span, which also
+#: catches unit mistakes (e.g. 0.028 for 28nm).
+_MIN_NODE_NM: float = min(CANONICAL_NODES)
+_MAX_NODE_NM: float = max(CANONICAL_NODES)
 
 _VALID_RANGE = (_MAX_NODE_NM, _MIN_NODE_NM)
 

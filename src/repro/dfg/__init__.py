@@ -10,13 +10,7 @@ closed-form in DFG statistics.
 
 from repro.dfg.graph import Dfg, DfgNode, NodeKind
 from repro.dfg.analysis import DfgStats, analyze, critical_path, stage_levels, topological_order
-from repro.dfg.transforms import (
-    dead_code_eliminate,
-    eliminate_common_subexpressions,
-    fuse_nodes,
-    is_convex,
-    stage_partition,
-)
+from repro.dfg.transforms import dead_code_eliminate
 from repro.dfg.complexity import (
     Component,
     Concept,
@@ -35,10 +29,6 @@ __all__ = [
     "stage_levels",
     "topological_order",
     "dead_code_eliminate",
-    "eliminate_common_subexpressions",
-    "fuse_nodes",
-    "is_convex",
-    "stage_partition",
     "Component",
     "Concept",
     "ConceptLimit",

@@ -1,150 +1,15 @@
-"""DFG rewrites modelling the chip-specialization concepts.
+"""DFG rewrites.
 
-* **heterogeneity** — :func:`fuse_nodes` merges a convex set of compute
-  vertices into one problem-specific "super node";
-* **simplification** — :func:`eliminate_common_subexpressions` and
-  :func:`dead_code_eliminate` shrink the graph without changing its
-  input/output function;
-* **partitioning** — :func:`stage_partition` slices the graph into the
-  per-stage working sets a maximally partitioned design processes in
-  parallel.
-
-Every transform returns a new graph; inputs are never mutated.  Acyclicity
-preservation is a library invariant (property-tested in the test suite).
+:func:`dead_code_eliminate` is the simplification rewrite the tracer
+applies to every kernel's graph.  It returns a new graph; its input is
+never mutated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Set
 
-from repro.dfg.analysis import stage_working_sets, topological_order
 from repro.dfg.graph import Dfg, NodeKind
-from repro.errors import GraphStructureError
-
-
-def is_convex(dfg: Dfg, nodes: Set[int]) -> bool:
-    """True when no path leaves *nodes* and re-enters it.
-
-    Fusing a non-convex set would create a cycle between the super node and
-    the outside vertices on the re-entering path.
-    """
-    outside_reachable: Set[int] = set()
-    # Seed with outside successors of the set, then flood forward.
-    frontier = [
-        succ
-        for nid in nodes
-        for succ in dfg.successors(nid)
-        if succ not in nodes
-    ]
-    while frontier:
-        current = frontier.pop()
-        if current in outside_reachable:
-            continue
-        outside_reachable.add(current)
-        frontier.extend(dfg.successors(current))
-    return not (outside_reachable & nodes)
-
-
-def fuse_nodes(dfg: Dfg, nodes: Sequence[int], op: str = "fused") -> Dfg:
-    """Heterogeneity rewrite: merge compute vertices into one super node.
-
-    *nodes* must be a non-empty convex set of compute vertices.  The fused
-    vertex inherits all external predecessors and successors (deduplicated).
-    """
-    node_set = set(nodes)
-    if not node_set:
-        raise GraphStructureError("cannot fuse an empty node set")
-    for nid in node_set:
-        if dfg.node(nid).kind is not NodeKind.COMPUTE:
-            raise GraphStructureError(
-                f"cannot fuse non-compute node {nid} ({dfg.node(nid).kind.value})"
-            )
-    if not is_convex(dfg, node_set):
-        raise GraphStructureError(
-            "fusion set is not convex: a path leaves and re-enters the set"
-        )
-    return _rebuild_with_fusion(dfg, node_set, op)
-
-
-_FUSED = -1  # sentinel id for the contracted super node
-
-
-def _contracted_order(dfg: Dfg, node_set: Set[int]) -> List[int]:
-    """Topological order of the graph with *node_set* contracted to one node.
-
-    Convexity of *node_set* guarantees the contracted graph is acyclic.  The
-    sentinel :data:`_FUSED` stands for the super node in the returned order.
-    """
-    ids = [nid for nid in dfg.node_ids() if nid not in node_set] + [_FUSED]
-
-    def contract(nid: int) -> int:
-        return _FUSED if nid in node_set else nid
-
-    preds: Dict[int, Set[int]] = {nid: set() for nid in ids}
-    for src, dst in dfg.edges():
-        csrc, cdst = contract(src), contract(dst)
-        if csrc != cdst:
-            preds[cdst].add(csrc)
-    in_degree = {nid: len(p) for nid, p in preds.items()}
-    succs: Dict[int, List[int]] = {nid: [] for nid in ids}
-    for nid, ps in preds.items():
-        for p in ps:
-            succs[p].append(nid)
-    ready = [nid for nid, deg in in_degree.items() if deg == 0]
-    order: List[int] = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
-        for succ in succs[nid]:
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(ids):
-        raise GraphStructureError("contracted graph contains a cycle")
-    return order
-
-
-def _rebuild_with_fusion(dfg: Dfg, node_set: Set[int], op: str) -> Dfg:
-    """Rebuild along the contracted topological order (see fuse_nodes)."""
-    result = Dfg(f"{dfg.name}+fused")
-    id_map: Dict[int, int] = {}
-
-    # External operands of the fused super node, in deterministic order.
-    fused_external_preds: List[int] = []
-    seen_preds: Set[int] = set()
-    for nid in topological_order(dfg):
-        if nid in node_set:
-            for p in dfg.predecessors(nid):
-                if p not in node_set and p not in seen_preds:
-                    seen_preds.add(p)
-                    fused_external_preds.append(p)
-
-    for nid in _contracted_order(dfg, node_set):
-        if nid == _FUSED:
-            preds = [id_map[p] for p in fused_external_preds]
-            if not preds:
-                raise GraphStructureError(
-                    "fused set has no external operands; it would become "
-                    "an input, not a compute node"
-                )
-            fused_new_id = result.add_compute(op, preds, label=op)
-            for member in node_set:
-                id_map[member] = fused_new_id
-            continue
-        node = dfg.node(nid)
-        if node.kind is NodeKind.INPUT:
-            id_map[nid] = result.add_input(node.label)
-        elif node.kind is NodeKind.OUTPUT:
-            (src,) = dfg.predecessors(nid)
-            id_map[nid] = result.add_output(id_map[src], node.label)
-        else:
-            preds = []
-            for p in dfg.predecessors(nid):
-                mapped = id_map[p]
-                if mapped not in preds:
-                    preds.append(mapped)
-            id_map[nid] = result.add_compute(node.op, preds, node.label)
-    return result
 
 
 def dead_code_eliminate(dfg: Dfg) -> Dfg:
@@ -166,57 +31,3 @@ def dead_code_eliminate(dfg: Dfg) -> Dfg:
         useful.add(nid)
         frontier.extend(dfg.predecessors(nid))
     return dfg.subgraph(useful, name=f"{dfg.name}+dce")
-
-
-def eliminate_common_subexpressions(dfg: Dfg) -> Dfg:
-    """Simplification rewrite: merge identical compute vertices.
-
-    Two compute vertices are identical when they carry the same operation
-    over the same (mapped) operand multiset.  Applied in topological order so
-    chains of duplicates collapse fully in one call.
-    """
-    result = Dfg(f"{dfg.name}+cse")
-    id_map: Dict[int, int] = {}
-    canonical: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-    for nid in topological_order(dfg):
-        node = dfg.node(nid)
-        if node.kind is NodeKind.INPUT:
-            id_map[nid] = result.add_input(node.label)
-        elif node.kind is NodeKind.OUTPUT:
-            (src,) = dfg.predecessors(nid)
-            id_map[nid] = result.add_output(id_map[src], node.label)
-        else:
-            # Dfg stores at most one edge per (src, dst) pair, so operand
-            # *sets* (not multisets) are the canonical identity — this also
-            # makes the rewrite idempotent (property-tested).
-            operands = tuple(sorted({id_map[p] for p in dfg.predecessors(nid)}))
-            key = (node.op, operands)
-            if key in canonical:
-                id_map[nid] = canonical[key]
-            else:
-                new_id = result.add_compute(node.op, operands, node.label)
-                canonical[key] = new_id
-                id_map[nid] = new_id
-    return result
-
-
-def stage_partition(dfg: Dfg, max_lanes: int) -> List[List[List[int]]]:
-    """Partitioning view: per-stage working sets chunked into *max_lanes*.
-
-    Returns, for each computation stage, the list of lanes (each a list of
-    vertex ids) a design with *max_lanes* parallel paths would process.  The
-    number of serialised chunks per stage is the stage's execution time under
-    that partitioning factor — the quantity Table II bounds by ``Θ(D)`` when
-    ``max_lanes >= max|WS_s|``.
-    """
-    if max_lanes < 1:
-        raise GraphStructureError(f"partition factor must be >= 1, got {max_lanes}")
-    stages = stage_working_sets(dfg)
-    partitioned: List[List[List[int]]] = []
-    for stage in sorted(stages):
-        members = sorted(stages[stage])
-        lanes = [
-            members[i : i + max_lanes] for i in range(0, len(members), max_lanes)
-        ]
-        partitioned.append(lanes)
-    return partitioned

@@ -39,10 +39,6 @@ from repro.cmos.model import CmosPotentialModel
 from repro.errors import ValidationError
 from repro.tech.base import TechBackend, TechMetadata
 from repro.wall.limits import DomainLimits
-from repro.wall.surmount import (
-    COMM_EFFICIENCY_PER_CHIPLET,
-    PACKAGING_POWER_OVERHEAD,
-)
 
 __all__ = [
     "RETICLE_LIMIT_MM2",
@@ -54,6 +50,14 @@ __all__ = [
 
 #: Photolithographic reticle field, mm^2 (ASML full-field 26mm x 33mm).
 RETICLE_LIMIT_MM2: float = 858.0
+
+#: Throughput retained per chiplet relative to monolithic scaling, per the
+#: MCM-GPU paper's regime (~10% loss at 4 chiplets from inter-module traffic).
+COMM_EFFICIENCY_PER_CHIPLET: float = 0.965
+
+#: Extra power per additional chiplet (SerDes links, package regulation),
+#: as a fraction of one chiplet's budget.
+PACKAGING_POWER_OVERHEAD: float = 0.08
 
 #: Default maximum dies per package (interposer escape-routing bound).
 DEFAULT_MAX_CHIPLETS: int = 4

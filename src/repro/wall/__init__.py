@@ -22,7 +22,6 @@ from repro.wall.limits import (
 )
 from repro.wall.sensitivity import SensitivityPoint, headroom_spread, wall_sensitivity
 from repro.wall.whatif import TimeToWall, time_to_wall, time_to_wall_all_domains
-from repro.wall.surmount import McmWall, mcm_wall, mcm_walls_all_domains
 
 __all__ = [
     "upper_frontier",
@@ -41,7 +40,4 @@ __all__ = [
     "TimeToWall",
     "time_to_wall",
     "time_to_wall_all_domains",
-    "McmWall",
-    "mcm_wall",
-    "mcm_walls_all_domains",
 ]

@@ -43,9 +43,11 @@ class TestParseNode:
         with pytest.raises(UnknownNodeError):
             parse_node(300)
 
-    def test_counterfactual_sub_5nm_allowed(self):
-        # repro.cmos.history extrapolates below the real roadmap.
-        assert parse_node(3) == 3.0
+    @pytest.mark.parametrize("node", [3, 200, 300])
+    def test_range_is_the_canonical_roadmap(self, node):
+        with pytest.raises(UnknownNodeError) as excinfo:
+            parse_node(node)
+        assert excinfo.value.valid_range == (180.0, 5.0)
 
     def test_rejects_garbage_string(self):
         with pytest.raises(UnknownNodeError):

@@ -1,15 +1,10 @@
-"""Hypothesis property tests over random DAGs: transform invariants."""
+"""Hypothesis property tests over random DAGs: analysis and DCE invariants."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dfg.analysis import analyze, depth, topological_order
+from repro.dfg.analysis import analyze, topological_order
 from repro.dfg.graph import Dfg, NodeKind
-from repro.dfg.transforms import (
-    dead_code_eliminate,
-    eliminate_common_subexpressions,
-    fuse_nodes,
-    is_convex,
-)
+from repro.dfg.transforms import dead_code_eliminate
 
 OPS = ["add", "mul", "sub", "min", "max"]
 
@@ -60,54 +55,9 @@ def test_analysis_invariants(g):
 
 @given(random_dag())
 @settings(max_examples=60, deadline=None)
-def test_cse_preserves_acyclicity_and_io(g):
-    merged = eliminate_common_subexpressions(g)
-    merged.validate()  # checks acyclicity
-    assert len(merged.outputs()) == len(g.outputs())
-    assert len(merged) <= len(g)
-
-
-@given(random_dag())
-@settings(max_examples=60, deadline=None)
-def test_cse_is_idempotent(g):
-    once = eliminate_common_subexpressions(g)
-    twice = eliminate_common_subexpressions(once)
-    assert len(once) == len(twice)
-    assert once.num_edges == twice.num_edges
-
-
-@given(random_dag())
-@settings(max_examples=60, deadline=None)
 def test_dce_is_noop_on_cleaned_graph(g):
     cleaned = dead_code_eliminate(g)
     assert len(cleaned) == len(g)
-
-
-@given(random_dag(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_fusion_preserves_invariants(g, data):
-    computes = [
-        nid for nid in g.node_ids()
-        if g.node(nid).kind is NodeKind.COMPUTE
-    ]
-    if not computes:
-        return
-    # Pick a convex candidate set: a node plus optionally one successor.
-    seed = data.draw(st.sampled_from(computes))
-    members = {seed}
-    succs = [
-        s for s in g.successors(seed)
-        if g.node(s).kind is NodeKind.COMPUTE and len(g.successors(seed)) == 1
-    ]
-    if succs and data.draw(st.booleans()):
-        members.add(succs[0])
-    if not is_convex(g, members):
-        return
-    fused = fuse_nodes(g, sorted(members))
-    fused.validate()
-    assert len(fused) == len(g) - (len(members) - 1)
-    assert len(fused.outputs()) == len(g.outputs())
-    assert depth(fused) <= depth(g)
 
 
 @given(random_dag())

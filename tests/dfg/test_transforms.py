@@ -1,17 +1,7 @@
-"""Unit tests for the DFG specialization-concept transforms."""
+"""Unit tests for the DFG dead-code-elimination rewrite."""
 
-import pytest
-
-from repro.dfg.analysis import depth
-from repro.dfg.graph import Dfg, NodeKind
-from repro.dfg.transforms import (
-    dead_code_eliminate,
-    eliminate_common_subexpressions,
-    fuse_nodes,
-    is_convex,
-    stage_partition,
-)
-from repro.errors import GraphStructureError
+from repro.dfg.graph import Dfg
+from repro.dfg.transforms import dead_code_eliminate
 
 
 def chain_graph():
@@ -22,89 +12,6 @@ def chain_graph():
     d = g.add_compute("mul", [c])
     g.add_output(d)
     return g, (a, b, c, d)
-
-
-class TestConvexity:
-    def test_chain_prefix_is_convex(self):
-        g, (_a, b, c, _d) = chain_graph()
-        assert is_convex(g, {b, c})
-
-    def test_gap_is_not_convex(self):
-        g, (_a, b, _c, d) = chain_graph()
-        # b -> c -> d leaves {b, d} and re-enters through c.
-        assert not is_convex(g, {b, d})
-
-    def test_parallel_nodes_are_convex(self):
-        g = Dfg("par")
-        a = g.add_input()
-        x = g.add_compute("add", [a])
-        y = g.add_compute("mul", [a])
-        z = g.add_compute("add", [x, y])
-        g.add_output(z)
-        assert is_convex(g, {x, y})
-
-
-class TestFusion:
-    def test_fuse_chain_reduces_vertices(self):
-        g, (_a, b, c, _d) = chain_graph()
-        fused = fuse_nodes(g, [b, c])
-        assert len(fused) == len(g) - 1
-        fused.validate()
-
-    def test_fuse_preserves_io_counts(self):
-        g, (_a, b, c, _d) = chain_graph()
-        fused = fuse_nodes(g, [b, c])
-        assert len(fused.inputs()) == len(g.inputs())
-        assert len(fused.outputs()) == len(g.outputs())
-
-    def test_fuse_reduces_depth(self):
-        g, (_a, b, c, _d) = chain_graph()
-        fused = fuse_nodes(g, [b, c])
-        assert depth(fused) == depth(g) - 1
-
-    def test_fused_node_carries_op(self):
-        g, (_a, b, c, _d) = chain_graph()
-        fused = fuse_nodes(g, [b, c], op="madd")
-        ops = {node.op for node in fused.nodes() if node.kind is NodeKind.COMPUTE}
-        assert "madd" in ops
-
-    def test_non_convex_rejected(self):
-        g, (_a, b, _c, d) = chain_graph()
-        with pytest.raises(GraphStructureError, match="convex"):
-            fuse_nodes(g, [b, d])
-
-    def test_empty_set_rejected(self):
-        g, _ = chain_graph()
-        with pytest.raises(GraphStructureError):
-            fuse_nodes(g, [])
-
-    def test_non_compute_member_rejected(self):
-        g, (a, b, _c, _d) = chain_graph()
-        with pytest.raises(GraphStructureError):
-            fuse_nodes(g, [a, b])
-
-    def test_fusing_with_late_external_operand(self):
-        # Regression: an external operand of a *later* chain member may be
-        # topologically after the first member; the contracted order must
-        # still place it before the fused node.
-        g = Dfg("late")
-        a = g.add_input("a")
-        b = g.add_input("b")
-        first = g.add_compute("add", [a])
-        late = g.add_compute("mul", [b])  # external operand of `second`
-        second = g.add_compute("add", [first, late])
-        g.add_output(second)
-        fused = fuse_nodes(g, [first, second])
-        fused.validate()
-        assert len(fused) == len(g) - 1
-
-    def test_fuse_all_inputsless_set_rejected(self):
-        g = Dfg("noops")
-        a = g.add_input()
-        only = g.add_compute("add", [a])
-        g.add_output(only)
-        fused = fuse_nodes(g, [only])  # single node, has external pred: fine
-        fused.validate()
 
 
 class TestDeadCodeElimination:
@@ -126,80 +33,3 @@ class TestDeadCodeElimination:
         cleaned = dead_code_eliminate(g)
         assert len(cleaned) == len(g)
         assert cleaned.num_edges == g.num_edges
-
-
-class TestCse:
-    def test_merges_identical_ops(self):
-        g = Dfg("cse")
-        a = g.add_input()
-        b = g.add_input()
-        x = g.add_compute("add", [a, b])
-        y = g.add_compute("add", [a, b])  # duplicate
-        z = g.add_compute("mul", [x, y])
-        g.add_output(z)
-        merged = eliminate_common_subexpressions(g)
-        merged.validate()
-        assert len(merged) == len(g) - 1
-
-    def test_collapses_duplicate_chains(self):
-        g = Dfg("chain-cse")
-        a = g.add_input()
-        x1 = g.add_compute("add", [a])
-        x2 = g.add_compute("add", [a])
-        y1 = g.add_compute("mul", [x1])
-        y2 = g.add_compute("mul", [x2])
-        z = g.add_compute("add", [y1, y2])
-        g.add_output(z)
-        merged = eliminate_common_subexpressions(g)
-        # add+add merge, then mul+mul merge; the final add collapses to a
-        # single-operand op over the shared mul.
-        assert len(merged) == 5
-
-    def test_distinct_ops_not_merged(self):
-        g = Dfg("distinct")
-        a = g.add_input()
-        b = g.add_input()
-        x = g.add_compute("add", [a, b])
-        y = g.add_compute("sub", [a, b])
-        z = g.add_compute("mul", [x, y])
-        g.add_output(z)
-        merged = eliminate_common_subexpressions(g)
-        assert len(merged) == len(g)
-
-    def test_preserves_outputs(self):
-        g = Dfg("out")
-        a = g.add_input()
-        x = g.add_compute("add", [a])
-        y = g.add_compute("add", [a])
-        g.add_output(x)
-        g.add_output(y)
-        merged = eliminate_common_subexpressions(g)
-        assert len(merged.outputs()) == 2
-
-
-class TestStagePartition:
-    def test_wide_enough_lanes_give_one_chunk_per_stage(self):
-        g, _ = chain_graph()
-        chunks = stage_partition(g, max_lanes=8)
-        assert all(len(stage) == 1 for stage in chunks)
-
-    def test_single_lane_serialises_stage(self):
-        g = Dfg("wide")
-        inputs = [g.add_input() for _ in range(4)]
-        mids = [g.add_compute("add", [i]) for i in inputs]
-        total = g.add_compute("add", mids)
-        g.add_output(total)
-        chunks = stage_partition(g, max_lanes=1)
-        # Stage 1 holds 4 inputs -> 4 serial chunks.
-        assert len(chunks[0]) == 4
-
-    def test_total_members_preserved(self):
-        g, _ = chain_graph()
-        chunks = stage_partition(g, max_lanes=2)
-        flat = [nid for stage in chunks for lane in stage for nid in lane]
-        assert sorted(flat) == sorted(g.node_ids())
-
-    def test_bad_factor_rejected(self):
-        g, _ = chain_graph()
-        with pytest.raises(GraphStructureError):
-            stage_partition(g, 0)

@@ -94,24 +94,3 @@ class TestGoldenWall:
             low, high = report.headroom
             assert low == pytest.approx(want_low, abs=0.2), report.domain
             assert high == pytest.approx(want_high, rel=0.1), report.domain
-
-
-class TestGoldenExtensions:
-    def test_tpu_headline(self):
-        from repro.studies.tpu import tpu_case_study
-
-        case = tpu_case_study()
-        assert case.efficiency_gain_vs_cpu == pytest.approx(36.4, rel=0.1)
-
-    def test_winograd_multiplies(self):
-        from repro.workloads import conv
-
-        assert conv.multiply_count(conv.build_direct()) == 324
-        assert conv.multiply_count(conv.build_winograd()) == 144
-
-    def test_dennard_gap_at_5nm(self):
-        from repro.cmos.history import dennard_gap
-
-        gap = dennard_gap(5.0)
-        assert gap.frequency_shortfall == pytest.approx(4.5, abs=0.2)
-        assert gap.power_density_excess == pytest.approx(10.9, rel=0.1)

@@ -1,9 +1,8 @@
-"""Tests for the small support modules: quantities, errors, package API."""
+"""Tests for the small support modules: errors, package API."""
 
 import pytest
 
 import repro
-from repro import quantities as q
 from repro.errors import (
     DatasetError,
     FitError,
@@ -14,28 +13,6 @@ from repro.errors import (
     ReproError,
     UnknownNodeError,
 )
-
-
-class TestQuantities:
-    def test_frequency_conversions(self):
-        assert q.ghz(1.5) == 1500.0
-        assert q.mhz(300) == 300.0
-        assert q.khz(500) == 0.5
-        assert q.mhz_to_hz(1.0) == 1e6
-
-    def test_power_conversions(self):
-        assert q.milliwatts(250) == 0.25
-        assert q.watts(7) == 7.0
-
-    def test_energy_conversions(self):
-        assert q.picojoules(1000) == 1.0
-        assert q.nanojoules(2.5) == 2.5
-        assert q.joules_from_nj(1e9) == pytest.approx(1.0)
-
-    def test_scales(self):
-        assert q.giga(2) == 2e9
-        assert q.mega(3) == 3e6
-        assert q.mm2(100.0) == 100.0
 
 
 class TestErrorHierarchy:
