@@ -17,11 +17,16 @@ This module evaluates the same grid as array math in three stages:
    priorities additionally on the extra pipeline latency), not on the
    partition factor, so :class:`MacroGraph` computes them once per window
    and replays only the resource-constrained event loop per structure.
-   Partitions at or beyond the saturation point (every functional-unit
-   class fully provisioned) skip the event loop entirely: the makespan is
-   the critical path.  Schedules still flow through the shared
-   :class:`~repro.accel.sweep.ScheduleCache`, so the in-memory memo and the
-   persistent on-disk store keep working unchanged.
+   The loop keeps no heap of units or macros.  Every macro of a class has
+   the same latency and macros start in nondecreasing ready order, so each
+   class's finish times never decrease and its unit pool is a FIFO list.
+   Every latency is at least 1, so a successor is always ready in a later
+   cycle and the macros ready in one cycle form a bucket that is complete
+   when it is popped.  Partitions at or beyond the saturation point (every
+   functional-unit class fully provisioned) skip the event loop entirely:
+   the makespan is the critical path.  Schedules still flow through the
+   shared :class:`~repro.accel.sweep.ScheduleCache`, so the in-memory memo
+   and the persistent on-disk store keep working unchanged.
 
 3. **Broadcast power evaluation** — per-node/per-degree clock, energy- and
    leakage-scale factors are precomputed from :class:`ResourceLibrary`
@@ -74,11 +79,17 @@ class MacroGraph:
     Precomputes everything the list scheduler re-derives per call that does
     not depend on the partition factor: the fusion chains, the deduplicated
     macro DAG in dense arrays, per-class demand, and (per extra-latency
-    value) the longest-path priorities and critical path.
-    :meth:`schedule` then replays only the event-driven resource loop — or
-    skips it outright for saturated partitions — producing a
+    value) the per-class latencies, longest-path priorities and critical
+    path.  :meth:`schedule` then replays only the event-driven resource
+    loop — or skips it outright for saturated partitions — producing a
     :class:`Schedule` bit-identical to
     :func:`repro.accel.scheduler.schedule`.
+
+    The replay needs two facts about this scheduler, both spelled out in
+    :meth:`_event_loop`: a class's finish times never decrease (one
+    latency per class, nondecreasing ready order), so its unit pool is a
+    FIFO list; and every latency is at least 1, so the macros ready in one
+    cycle form a bucket that no later start can add to.
     """
 
     def __init__(self, dfg, library: ResourceLibrary, fusion_window: int):
@@ -141,7 +152,7 @@ class MacroGraph:
         self.class_latency: List[int] = [
             library.costs(klass).latency_cycles for klass in _CLASS_LIST
         ]
-        # (latency per macro id, priority per macro id, critical path) per
+        # (latency per class, priority per macro id, critical path) per
         # latency_extra value, filled lazily.
         self._plans: Dict[int, Tuple[List[int], List[int], int]] = {}
 
@@ -155,23 +166,22 @@ class MacroGraph:
         self.op_counts = op_counts
 
     def _plan(self, latency_extra: int) -> Tuple[List[int], List[int], int]:
-        """(latency, priority) per macro id and the critical path length."""
+        """Latency per class, priority per macro id, and the critical path."""
         plan = self._plans.get(latency_extra)
         if plan is not None:
             return plan
-        latency = [0] * self._size
-        for m in self.macros:
-            latency[m] = self.class_latency[self.class_of[m]] + latency_extra
+        latency = [base + latency_extra for base in self.class_latency]
         priority = [0] * self._size
         critical = 0
         succs = self.succs
+        class_of = self.class_of
         for m in reversed(self._topo):
             down = 0
             for s in succs[m]:
                 p = priority[s]
                 if p > down:
                     down = p
-            p = latency[m] + down
+            p = latency[class_of[m]] + down
             priority[m] = p
             if p > critical:
                 critical = p
@@ -192,38 +202,66 @@ class MacroGraph:
     ) -> int:
         """The resource-constrained event loop over dense arrays.
 
-        Heap entries keep the scheduler's exact ``(ready, -priority, id)``
-        tie-break, so the evaluation order — and with it the makespan under
-        contention — matches :func:`repro.accel.scheduler.schedule`.
+        Starts macros in the scheduler's exact ``(ready, -priority, id)``
+        order, so the makespan under contention matches
+        :func:`repro.accel.scheduler.schedule`, but replaces both of its
+        heaps with structures that are exact for this scheduler:
+
+        * **FIFO unit pools.**  Every macro of a class has the same
+          latency: the class latency plus ``latency_extra``.  Macros start
+          in nondecreasing ready order.  So each class's start and finish
+          times never decrease, and the scheduler's pool heap always pops
+          its oldest entry.  A class's pool is the list of its finish
+          times in start order: with ``k = min(partition, demand)`` units,
+          the n-th macro started (0-based) waits for ``finish[n - k]``,
+          or not at all when ``n < k``.
+        * **Cycle buckets.**  Every latency is at least 1 (``OpCosts``
+          rejects anything else), so a successor is always ready in a
+          later cycle than the one being processed, and a bucket is
+          complete when it is popped.  Buckets live in a dict keyed by
+          ready cycle, with a small heap of the distinct cycles; two
+          stable sorts (by id, then by priority descending) put a bucket
+          in ``(-priority, id)`` order.
+
+        Every time is an int, and so is the returned makespan: the last
+        finish of the class that finishes last.
         """
         heappush, heappop = heapq.heappush, heapq.heappop
         remaining = self.pred_count[:]
-        ready = [0.0] * self._size
-        pools: List[Optional[List[float]]] = [None] * len(_CLASS_LIST)
-        for i, count in enumerate(self.demand):
-            if count:
-                pools[i] = [0.0] * min(partition, count)
-        heap = [(0.0, -priority[m], m) for m in self.macros if remaining[m] == 0]
-        heapq.heapify(heap)
+        ready = [0] * self._size
+        units = [min(partition, count) for count in self.demand]
+        finished: List[List[int]] = [[] for _ in units]
+        buckets = {0: [m for m in self.macros if remaining[m] == 0]}
+        cycles = [0]
         succs = self.succs
         class_of = self.class_of
-        makespan = 0.0
-        while heap:
-            ready_at, _, m = heappop(heap)
-            pool = pools[class_of[m]]
-            unit_free = heappop(pool)
-            start = ready_at if ready_at >= unit_free else unit_free
-            finish = start + latency[m]
-            heappush(pool, finish)
-            if finish > makespan:
-                makespan = finish
-            for s in succs[m]:
-                if ready[s] < finish:
-                    ready[s] = finish
-                remaining[s] -= 1
-                if remaining[s] == 0:
-                    heappush(heap, (ready[s], -priority[s], s))
-        return int(makespan)
+        by_priority = priority.__getitem__
+        while cycles:
+            now = heappop(cycles)
+            bucket = buckets.pop(now)
+            bucket.sort()
+            bucket.sort(key=by_priority, reverse=True)
+            for m in bucket:
+                c = class_of[m]
+                pool = finished[c]
+                waits = len(pool) - units[c]
+                start = now
+                if waits >= 0 and pool[waits] > now:
+                    start = pool[waits]
+                finish = start + latency[c]
+                pool.append(finish)
+                for s in succs[m]:
+                    if ready[s] < finish:
+                        ready[s] = finish
+                    remaining[s] -= 1
+                    if remaining[s] == 0:
+                        at = ready[s]
+                        if at in buckets:
+                            buckets[at].append(s)
+                        else:
+                            buckets[at] = [s]
+                            heappush(cycles, at)
+        return max(pool[-1] for pool in finished if pool)
 
     def schedule(self, partition: int, latency_extra: int = 0) -> Schedule:
         """Schedule one structural configuration (fast path).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.cmos.scaling import DeviceScaling, ScalingTable, default_scaling_table
-from repro.errors import InvalidDesignPointError
+from repro.errors import InvalidDesignPointError, ValidationError
 
 
 class OpClass(enum.Enum):
@@ -60,6 +60,15 @@ class OpCosts:
     latency_cycles: int
     energy_nj: float
     leakage_w_per_unit: float
+
+    def __post_init__(self) -> None:
+        # The schedulers count time in whole cycles, and the batch event
+        # loop's cycle buckets need every op to take at least one.
+        latency = self.latency_cycles
+        if not isinstance(latency, int) or latency < 1:
+            raise ValidationError(
+                f"latency_cycles must be an int >= 1, got {latency!r}"
+            )
 
 
 #: Reference costs, loosely calibrated on Galal & Horowitz FPU data and

@@ -47,6 +47,11 @@ def kernel():
 
 
 @pytest.fixture(scope="module")
+def large_kernels():
+    return {abbrev: build_kernel(abbrev) for abbrev in ("MDY", "AES")}
+
+
+@pytest.fixture(scope="module")
 def grid():
     # Mixed heterogeneity exercises every fusion window the library emits.
     return default_design_grid(**GRID) + default_design_grid(
@@ -167,20 +172,47 @@ class TestMacroGraph:
         )
         assert fast == reference
 
+    @pytest.mark.parametrize("abbrev", ["MDY", "AES"])
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("partition", [1, 7])
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_large_kernels_match_list_scheduler(
+        self, large_kernels, abbrev, window, partition, extra
+    ):
+        # The largest Table IV DFGs (~2,100 nodes) run the DSE's costliest
+        # event loops: long FIFO pools and many crowded cycle buckets.
+        dfg = large_kernels[abbrev].dfg
+        lib = ResourceLibrary()
+        graph = MacroGraph(dfg, lib, window)
+        assert partition < graph.saturation  # the event loop runs
+        fast = graph.schedule(partition, extra)
+        reference = run_schedule(
+            dfg,
+            partition=partition,
+            library=lib,
+            fusion_window=window,
+            latency_extra=extra,
+        )
+        assert fast == reference
+        assert type(fast.cycles) is int
+
     def test_saturation_boundary(self, kernel):
         # Partitions straddling the saturation point (where the event loop
         # hands over to the critical-path shortcut) must agree with the
-        # scheduler on both sides.
+        # scheduler on both sides, and both sides count whole cycles.
         lib = ResourceLibrary()
         graph = MacroGraph(kernel.dfg, lib, 2)
+        assert graph.saturation > 1
         for partition in (
-            max(1, graph.saturation - 1),
+            graph.saturation - 1,
             graph.saturation,
             graph.saturation + 1,
         ):
-            assert graph.schedule(partition) == run_schedule(
+            fast = graph.schedule(partition)
+            assert fast == run_schedule(
                 kernel.dfg, partition=partition, library=lib, fusion_window=2
             )
+            assert type(fast.cycles) is int
 
     def test_rejects_bad_partition(self, kernel):
         graph = MacroGraph(kernel.dfg, ResourceLibrary(), 2)

@@ -6,10 +6,11 @@ from repro.accel.resources import (
     BASE_CLOCK_MHZ,
     PIPELINE_KNEE,
     OpClass,
+    OpCosts,
     ResourceLibrary,
     op_class,
 )
-from repro.errors import InvalidDesignPointError
+from repro.errors import InvalidDesignPointError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,15 @@ class TestOpClasses:
         div = lib.costs(OpClass.DIVIDER)
         assert alu.latency_cycles < mul.latency_cycles < div.latency_cycles
         assert alu.energy_nj < mul.energy_nj < div.energy_nj
+
+
+class TestOpCosts:
+    @pytest.mark.parametrize("latency", [0, -1, 1.5])
+    def test_rejects_latency_below_one_cycle_or_fractional(self, latency):
+        # A zero-latency library would schedule a kernel in 0 cycles and
+        # divide by zero in PowerReport.throughput_ops.
+        with pytest.raises(ValidationError, match="latency_cycles"):
+            OpCosts(latency_cycles=latency, energy_nj=0.002, leakage_w_per_unit=1e-4)
 
 
 class TestNodeScaling:
