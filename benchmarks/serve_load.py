@@ -244,8 +244,8 @@ def worker_scaling_phase(
         try:
             # With reuseport the kernel picks the worker per connection, so
             # warm with `count` passes to touch every replica with high
-            # probability (supervisor workers warm-boot kernels from the
-            # snapshot already; this warms their schedule caches).
+            # probability (supervisor workers inherit their traced kernels
+            # from the supervisor by fork; this warms their schedule caches).
             for _ in range(max(1, count)):
                 probe = Client(handle.port, "warmup")
                 for body in TRACE_WARMUP + EVALUATE_POINTS:

@@ -321,12 +321,12 @@ class ScheduleStore:
 
 
 class KernelTraceStore:
-    """Persistent traced kernels keyed by workload name and build arguments.
+    """Persistent traced kernels keyed by workload name.
 
     Unlike schedules, a trace cannot be content-fingerprinted before it
-    exists, so the key is *declarative*: workload abbreviation plus the
-    builder's keyword arguments, salted with :data:`CACHE_VERSION`.  Bump
-    the version when tracer or workload semantics change.
+    exists, so the key is *declarative*: the workload abbreviation,
+    salted with :data:`CACHE_VERSION`.  Bump the version when tracer or
+    workload semantics change.
     """
 
     def __init__(
@@ -351,15 +351,12 @@ class KernelTraceStore:
         return self._disk.drops
 
     @staticmethod
-    def key(name: str, **build_kwargs) -> str:
-        parts = ["trace", name]
-        for arg in sorted(build_kwargs):
-            parts.append(f"{arg}={build_kwargs[arg]!r}")
-        return _digest(parts)
+    def key(name: str) -> str:
+        return _digest(["trace", name])
 
-    def get(self, name: str, **build_kwargs) -> Optional[TracedKernel]:
-        value = self._disk.get(self.key(name, **build_kwargs))
+    def get(self, name: str) -> Optional[TracedKernel]:
+        value = self._disk.get(self.key(name))
         return value if isinstance(value, TracedKernel) else None
 
-    def put(self, name: str, kernel: TracedKernel, **build_kwargs) -> None:
-        self._disk.put(self.key(name, **build_kwargs), kernel)
+    def put(self, name: str, kernel: TracedKernel) -> None:
+        self._disk.put(self.key(name), kernel)

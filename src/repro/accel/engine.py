@@ -230,21 +230,21 @@ class SweepEngine:
         lib = library if library is not None else ResourceLibrary()
         return _schedule_cache(kernel, lib, self.cache_dir)
 
-    def trace(self, workload, **build_kwargs) -> TracedKernel:
+    def trace(self, workload) -> TracedKernel:
         """Trace a workload through the persistent kernel-trace cache.
 
         *workload* is a :class:`repro.workloads.Workload` (anything with
-        ``abbrev`` and ``build(**kwargs)``). Cache off → plain build.
+        ``abbrev`` and ``build()``). Cache off → plain build.
         """
         if not self.use_cache:
             with span("trace.build", workload=workload.abbrev):
-                return workload.build(**build_kwargs)
+                return workload.build()
         store = KernelTraceStore(self.cache_dir)
-        kernel = store.get(workload.abbrev, **build_kwargs)
+        kernel = store.get(workload.abbrev)
         if kernel is None:
             with span("trace.build", workload=workload.abbrev):
-                kernel = workload.build(**build_kwargs)
-            store.put(workload.abbrev, kernel, **build_kwargs)
+                kernel = workload.build()
+            store.put(workload.abbrev, kernel)
         return kernel
 
     # -- sweeps (Fig 13) ------------------------------------------------------

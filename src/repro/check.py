@@ -217,10 +217,9 @@ def _check_relation_matrix() -> str:
 
 
 def _domain_scatter(domain: str, model):
-    from repro.wall.limits import _limits
+    from repro.wall.limits import domain_study
 
-    row = _limits()[domain]
-    study = row.study_factory()
+    study = domain_study(domain)
     series = study.performance_series(model)
     base = study.chips[0].metric(study.performance_metric)
     return [(p.physical, p.gain * base) for p in series]

@@ -48,8 +48,7 @@ from repro.reporting.tables import (
     table4_applications,
     table5_wall_parameters,
 )
-
-STUDIES = ("video", "gpu", "cnn", "bitcoin")
+from repro.studies import STUDIES, named_study
 
 #: Exit code when a :class:`repro.errors.ReproError` aborts a command (the
 #: codes 0/1 mean success / command-reported failures).
@@ -385,23 +384,9 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _study_object(name: str, model: CmosPotentialModel):
-    from repro.studies import bitcoin, fpga_cnn, gpu_graphics, video_decoders
-
-    if name == "video":
-        return video_decoders.study()
-    if name == "gpu":
-        return gpu_graphics.study()
-    if name == "cnn":
-        return fpga_cnn.study("alexnet")
-    if name == "bitcoin":
-        return bitcoin.study()
-    raise ValueError(f"unknown study {name!r}; known: {STUDIES}")
-
-
 def _cmd_study(args) -> int:
     model = _model(args)
-    study = _study_object(args.name, model)
+    study = named_study(args.name)
     series = study.performance_series(model)
     print(f"=== {study.name}: performance CSR series ===")
     print(render_rows([
@@ -505,7 +490,7 @@ def _plot_body(args, engine_box) -> int:
         print(f"[dse] {result.stats.describe()}")
     elif name == "fig15":
         from repro.wall import accelerator_wall, upper_frontier
-        from repro.wall.limits import _limits
+        from repro.wall.limits import _limits, domain_study
 
         tech = getattr(args, "tech", None)
         backend = None
@@ -532,7 +517,7 @@ def _plot_body(args, engine_box) -> int:
                 report = accelerator_wall(domain, model)
                 title = f"Fig 15: {domain}"
             # Reconstruct the scatter the report was fitted on.
-            study = row.study_factory()
+            study = domain_study(domain)
             series = study.performance_series(history_model)
             base = study.chips[0].metric(study.performance_metric)
             points = [(p.physical, p.gain * base) for p in series]

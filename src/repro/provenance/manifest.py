@@ -157,15 +157,11 @@ def _database_fingerprint() -> str:
 
 def input_fingerprints() -> Dict[str, str]:
     """Content hash per input dataset: the fit population and each study."""
-    from repro.studies import bitcoin, fpga_cnn, gpu_graphics, video_decoders
+    from repro.studies import STUDIES, named_study
 
     hashes = {"reference_database": _database_fingerprint()}
-    for study in (
-        video_decoders.study(),
-        gpu_graphics.study(),
-        fpga_cnn.study("alexnet"),
-        bitcoin.study(),
-    ):
+    for name in STUDIES:
+        study = named_study(name)
         hashes[f"study:{study.name}"] = study.fingerprint()
     return hashes
 

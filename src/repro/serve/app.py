@@ -1,10 +1,12 @@
 """The serving application: state, HTTP protocol, and lifecycle.
 
-``repro serve`` builds one :class:`ServeApp`: it loads the fitted CMOS
-model, the case studies, and the sweep engine **once** at startup,
-captures a run manifest into the provenance ledger, and then serves the
-paper's core queries over a small stdlib-only HTTP/1.1 server
-(``asyncio.start_server`` — no web framework, no new runtime deps).
+``repro serve`` builds one :class:`ServeApp`: it builds the sweep
+engine at startup, captures a run manifest into the provenance ledger,
+and then serves the paper's core queries over a small stdlib-only
+HTTP/1.1 server (``asyncio.start_server`` — no web framework, no new
+runtime deps).  Fitted models, case studies, wall reports and traced
+kernels come from the process memo (:mod:`repro.memo`): each is built on
+first use, or inherited already built from a forking supervisor.
 
 Request flow::
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import os
 import signal
 import socket
 import threading
@@ -48,6 +49,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ValidationError
+from repro.memo import memo
 from repro.obs.log import get_logger, kv, set_log_run_id
 from repro.obs.metrics import metrics
 from repro.obs.trace import (
@@ -102,6 +104,15 @@ def worker_state_path(fleet_dir: str, index: int) -> Path:
     return Path(fleet_dir, "workers", f"{index}.json")
 
 
+def served_kernel(workload, engine):
+    """*workload*'s traced kernel, traced by *engine* once per process.
+
+    :meth:`ServeApp.kernel` and the supervisor's pre-fork warm-up both go
+    through here, so they share one memo key.
+    """
+    return memo(("serve.kernel", workload.abbrev), lambda: engine.trace(workload))
+
+
 @dataclass
 class ServeConfig:
     """Tunables of one serving process (CLI flags map 1:1 onto these)."""
@@ -123,7 +134,7 @@ class ServeConfig:
     flight_recorder: int = 256     # request records retained per worker
     # -- multi-worker plumbing (set by the supervisor, not by users) ----------
     worker_index: Optional[int] = None
-    fleet_dir: Optional[str] = None   # shared dir: snapshot.pkl, jobs/, workers/
+    fleet_dir: Optional[str] = None   # shared dir: jobs/, workers/, cache/
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -138,11 +149,7 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 class ServeApp:
     """One serving process: loaded state + HTTP front end."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        snapshot: Optional[Any] = None,
-    ):
+    def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config if config is not None else ServeConfig()
         self.router = Router()
         register_routes(self.router)
@@ -154,42 +161,22 @@ class ServeApp:
         self._publisher: Optional[asyncio.Task] = None
         self._connections: set = set()
         self._started = False
-        self._snapshot = snapshot      # injected ServeSnapshot (tests)
         #: Pre-bound listening socket handed over by the supervisor (fork path).
         self.listen_sock: Optional[socket.socket] = None
 
     # -- startup ---------------------------------------------------------------
 
     def startup(self) -> None:
-        """Load models/state once; must run before serving (idempotent)."""
+        """Build the serving state; must run before serving (idempotent)."""
         if self._started:
             return
         from repro.accel.engine import SweepEngine
         from repro.accel.resources import ResourceLibrary
         from repro.cmos.model import CmosPotentialModel
         from repro.provenance.manifest import SCHEMA_VERSION, RunLedger, capture
-        from repro.serve.snapshot import load_snapshot
 
         config = self.config
-        snapshot = self._snapshot
-        if snapshot is None and config.fleet_dir:
-            snapshot = load_snapshot(os.path.join(config.fleet_dir, "snapshot.pkl"))
-            self._snapshot = snapshot
-        if snapshot is not None:
-            # Warm boot: the supervisor fitted/traced/built this state
-            # once; replicas (and crash restarts) skip the refit.
-            self.model = snapshot.model
-            self._studies = dict(snapshot.studies)
-            self._kernels = {k.upper(): v for k, v in snapshot.kernels.items()}
-            from repro.tech import backend_names, get_backend
-
-            for name, tech_model in getattr(snapshot, "tech_models", {}).items():
-                if name in backend_names():
-                    get_backend(name).prime(tech_model)
-        else:
-            self.model = CmosPotentialModel.paper()
-            self._studies = {}
-            self._kernels = {}
+        self.model = CmosPotentialModel.paper()
         self.library = ResourceLibrary()
         self.engine = SweepEngine(
             jobs=config.jobs,
@@ -214,13 +201,9 @@ class ServeApp:
         if self._installed_tracer:
             set_tracer(Tracer(max_spans=TRACER_RING))
         set_log_run_id(self.manifest.run_id)
-        self._schedule_caches: Dict[str, Any] = {}
         self._batch_evaluators: Dict[str, Any] = {}
-        self._kernel_lock = threading.Lock()
+        self._evaluator_lock = threading.Lock()
         self._artifact_cache = LruCache(64, name="artifact")
-        if snapshot is not None:
-            for name, payload in snapshot.artifacts.items():
-                self._artifact_cache.put(name, payload)
         self._response_cache = LruCache(config.response_cache, name="response")
         self.gate = InflightGate(config.max_inflight)
         self.jobs = JobQueue(
@@ -241,7 +224,6 @@ class ServeApp:
                 jobs=config.jobs,
                 rate_limit=config.rate_limit,
                 max_inflight=config.max_inflight,
-                warm_boot=snapshot is not None,
             ),
         )
 
@@ -277,67 +259,39 @@ class ServeApp:
             )
 
     def kernel(self, abbrev: str):
-        """The traced kernel for *abbrev*, traced once and retained."""
-        key = abbrev.upper()
-        kernel = self._kernels.get(key)
-        if kernel is not None:
-            return kernel
-        with self._kernel_lock:
-            kernel = self._kernels.get(key)
-            if kernel is None:
-                kernel = self.engine.trace(self.workload(abbrev))
-                self._kernels[key] = kernel
-        return kernel
-
-    def schedule_cache(self, abbrev: str):
-        """Per-workload :class:`ScheduleCache` shared across requests."""
-        key = abbrev.upper()
-        cache = self._schedule_caches.get(key)
-        if cache is not None:
-            return cache
-        with self._kernel_lock:
-            cache = self._schedule_caches.get(key)
-            if cache is None:
-                cache = self.engine.schedule_cache(self.kernel(key), self.library)
-                self._schedule_caches[key] = cache
-        return cache
+        """The traced kernel for *abbrev*, traced once per process."""
+        return served_kernel(self.workload(abbrev), self.engine)
 
     def batch_evaluator(self, abbrev: str):
         """Per-workload :class:`BatchEvaluator` behind ``/evaluate``.
 
-        Shares the workload's :meth:`schedule_cache`, so array-path and
-        scalar-path requests see one schedule memo; macro graphs and scale
-        tables amortize across every request of the process lifetime.
+        Its schedule memo, macro graphs and scale tables amortize across
+        every request of the process lifetime.
         """
+        from repro.accel.batch import BatchEvaluator
+
         key = abbrev.upper()
         evaluator = self._batch_evaluators.get(key)
         if evaluator is not None:
             return evaluator
-        # Resolve dependencies before taking the lock (it is not reentrant).
         kernel = self.kernel(key)
-        cache = self.schedule_cache(key)
-        from repro.accel.batch import BatchEvaluator
-
-        with self._kernel_lock:
+        with self._evaluator_lock:
             evaluator = self._batch_evaluators.get(key)
             if evaluator is None:
+                cache = self.engine.schedule_cache(kernel, self.library)
                 evaluator = BatchEvaluator(kernel, cache=cache)
                 self._batch_evaluators[key] = evaluator
         return evaluator
 
     def study(self, name: str):
         """Resolve a case-study name; 400 with the valid names."""
-        from repro.cli import STUDIES, _study_object
+        from repro.studies import STUDIES, named_study
 
         if name not in STUDIES:
             raise HttpError(
                 400, f"unknown study {name!r}", valid_studies=list(STUDIES)
             )
-        study = self._studies.get(name)
-        if study is None:
-            study = _study_object(name, self.model)
-            self._studies[name] = study
-        return study
+        return named_study(name)
 
     def artifact_names(self) -> List[str]:
         from repro.reporting.export import artifact_registry
@@ -358,7 +312,7 @@ class ServeApp:
             )
 
     def tech_model(self, name: str):
-        """The fitted potential model of backend *name* (snapshot-primed)."""
+        """The fitted potential model of backend *name*."""
         return self.tech_backend(name).model()
 
     async def artifact_payload(self, name: str) -> Any:

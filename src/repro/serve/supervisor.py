@@ -5,9 +5,11 @@ one core even after the vectorized hot path.  ``repro serve --workers N``
 scales horizontally instead: a small :class:`Supervisor` process
 
 * creates the *fleet directory*, the temp directory every worker shares;
-* builds the fitted serving state **once** and pickles it there
-  (``snapshot.pkl``, :mod:`repro.serve.snapshot`) so every replica —
-  including crash replacements — warm-boots instead of refitting;
+* warms the process memo (:mod:`repro.memo`) **once** before the first
+  fork: the provenance input fingerprints, the served kernels, and every
+  technology backend's model and wall reports.  Workers — crash
+  replacements included — are forked from this process, so they inherit
+  that state instead of recomputing it;
 * pins the public port and forks N serve workers that share it.  Where
   the platform has ``SO_REUSEPORT`` (Linux) each worker binds its own
   listening socket and the kernel load-balances accepts; elsewhere one
@@ -61,6 +63,9 @@ STABLE_S = 30.0
 #: Stdout line tests and operators parse for the bound address.
 _SERVING_LINE = re.compile(r"serving on http://([^:]+):(\d+)")
 
+#: Workloads whose kernels the supervisor traces before forking.
+WARM_WORKLOADS = ("FFT", "GMM", "S3D", "SRT")
+
 
 def _tcp_socket() -> socket.socket:
     return socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -93,9 +98,7 @@ class Supervisor:
     # -- setup -----------------------------------------------------------------
 
     def _setup(self) -> None:
-        """Fleet directory, snapshot, shared cache dir, and the public port."""
-        from repro.serve.snapshot import build_snapshot, save_snapshot
-
+        """Fleet directory, shared cache dir, warm memo, and the public port."""
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
         self.fleet_dir = self._tmpdir.name
         if self.config.use_cache and not self.config.cache_dir:
@@ -103,8 +106,31 @@ class Supervisor:
             # schedule computed by any replica warms every replica.
             self.config.cache_dir = os.path.join(self.fleet_dir, "cache")
             os.makedirs(self.config.cache_dir, exist_ok=True)
-        save_snapshot(build_snapshot(), os.path.join(self.fleet_dir, "snapshot.pkl"))
+        self._warm()
         self._bind_sockets()
+
+    @staticmethod
+    def _warm() -> None:
+        """Compute what a worker's startup and first requests read."""
+        from repro.accel.engine import SweepEngine
+        from repro.provenance.manifest import input_fingerprints
+        from repro.serve.app import served_kernel
+        from repro.tech import backend_names
+        from repro.tech.scenarios import wall_reports
+        from repro.workloads import get_workload
+
+        start = time.monotonic()
+        # Also fills reference_database()'s cache: the manifest capture in
+        # ServeApp.startup reads both.
+        input_fingerprints()
+        engine = SweepEngine()
+        for abbrev in WARM_WORKLOADS:
+            served_kernel(get_workload(abbrev), engine)
+        for name in backend_names():
+            wall_reports(name)  # builds the backend's model too
+        logger.info(
+            "supervisor.warmed %s", kv(elapsed_s=round(time.monotonic() - start, 3))
+        )
 
     def _bind_sockets(self) -> None:
         host, port = self.config.host, self.config.port
@@ -149,6 +175,16 @@ class Supervisor:
         self._spawned_at[index] = time.monotonic()
         logger.info("supervisor.spawned %s", kv(worker=index, pid=pid))
 
+    def _worker_config(self, index: int):
+        """The :class:`ServeConfig` worker *index* serves with."""
+        return replace(
+            self.config,
+            workers=1,
+            port=self.port,
+            worker_index=index,
+            fleet_dir=self.fleet_dir,
+        )
+
     def _worker_main(self, index: int) -> int:
         """Runs inside the forked child; serves until SIGTERM."""
         # The inherited supervisor handlers would make this child signal
@@ -159,15 +195,8 @@ class Supervisor:
         from repro.obs.metrics import reset_metrics
         from repro.serve.app import ServeApp
 
-        reset_metrics()  # drop the supervisor's snapshot-build counters
-        config = replace(
-            self.config,
-            workers=1,
-            port=self.port,
-            worker_index=index,
-            fleet_dir=self.fleet_dir,
-        )
-        app = ServeApp(config)
+        reset_metrics()  # drop the supervisor's warm-up counters
+        app = ServeApp(self._worker_config(index))
         if self.reuseport:
             assert self._placeholder is not None
             self._placeholder.close()

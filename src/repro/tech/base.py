@@ -21,11 +21,12 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.cmos.model import CmosPotentialModel
 from repro.cmos.nodes import CANONICAL_NODES
 from repro.errors import ValidationError
+from repro.memo import memo
 from repro.wall.limits import DomainLimits
 
 __all__ = [
@@ -70,15 +71,14 @@ class TechBackend:
 
     Subclasses implement :meth:`build_model`; everything else — caching,
     parameter hashing, the density/TDP/frequency-energy scaling surfaces,
-    and the Table V envelope hook — is shared.  The built model is cached
-    (and can be :meth:`primed <prime>` from a serve snapshot so warm-boot
-    replicas skip the build).
+    and the Table V envelope hook — is shared.  The built model is kept in
+    the process memo (:mod:`repro.memo`) under :meth:`memo_key`, so every
+    instance with the same name and parameters shares one model, and a
+    forked serve worker inherits the models its supervisor built.
     """
 
     def __init__(self, metadata: TechMetadata):
         self._metadata = metadata
-        self._model: Optional[CmosPotentialModel] = None
-        self._model_lock = threading.Lock()
 
     @property
     def metadata(self) -> TechMetadata:
@@ -95,20 +95,8 @@ class TechBackend:
         raise NotImplementedError
 
     def model(self) -> CmosPotentialModel:
-        """The backend's potential model, built once and cached."""
-        model = self._model
-        if model is None:
-            with self._model_lock:
-                model = self._model
-                if model is None:
-                    model = self.build_model()
-                    self._model = model
-        return model
-
-    def prime(self, model: CmosPotentialModel) -> None:
-        """Seed the model cache (serve-snapshot warm boot)."""
-        with self._model_lock:
-            self._model = model
+        """The backend's potential model, built once per process."""
+        return memo(("tech.model",) + self.memo_key(), self.build_model)
 
     # -- provenance ----------------------------------------------------------
 
@@ -121,6 +109,14 @@ class TechBackend:
             default=str,
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def memo_key(self) -> Tuple[str, str]:
+        """The backend's :mod:`repro.memo` key: name plus :meth:`param_hash`.
+
+        The name alone is not enough: ``chiplet_backend(base)`` is named
+        ``chiplet`` whatever its base.
+        """
+        return (self.name, self.param_hash())
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly description (``GET /tech`` and manifest payloads)."""

@@ -22,14 +22,15 @@ the whole population under the backend model.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cmos.model import CmosPotentialModel
 from repro.cmos.nodes import FINAL_NODE
 from repro.errors import ProjectionError
+from repro.memo import memo
 from repro.tech.base import TechBackend, get_backend
 from repro.tech.carbon import CarbonParams, backend_carbon
-from repro.wall.limits import WallReport, _limits, accelerator_wall
+from repro.wall.limits import WallReport, _limits, accelerator_wall, domain_study
 # The pace estimator is shared with `repro wall --whatif`; a private
 # import keeps one definition of "historical annual gain rate".
 from repro.wall.whatif import _annual_gain_rate
@@ -52,9 +53,19 @@ def _backend(tech: Union[str, TechBackend]) -> TechBackend:
     return tech if isinstance(tech, TechBackend) else get_backend(tech)
 
 
-def wall_reports(tech: Union[str, TechBackend]) -> List[WallReport]:
-    """Figs 15-16 wall reports with the limit chip built in *tech*."""
+def wall_reports(tech: Union[str, TechBackend]) -> Tuple[WallReport, ...]:
+    """Figs 15-16 wall reports with the limit chip built in *tech*.
+
+    Computed once per process per backend (:mod:`repro.memo`).
+    """
     backend = _backend(tech)
+    return memo(
+        ("tech.wall_reports",) + backend.memo_key(),
+        lambda: _build_wall_reports(backend),
+    )
+
+
+def _build_wall_reports(backend: TechBackend) -> Tuple[WallReport, ...]:
     limit_model = backend.model()
     reports = []
     for domain, row in _limits().items():
@@ -78,7 +89,7 @@ def wall_reports(tech: Union[str, TechBackend]) -> List[WallReport]:
                 key=lambda report: report.physical_limit,
             )
             reports.append(best)
-    return reports
+    return tuple(reports)
 
 
 def wall_projection_rows(tech: Union[str, TechBackend]) -> List[Dict[str, object]]:
@@ -123,8 +134,8 @@ def csr_rows(tech: Union[str, TechBackend]) -> Dict[str, Dict[str, object]]:
     backend = _backend(tech)
     model = backend.model()
     out: Dict[str, Dict[str, object]] = {}
-    for domain, row in _limits().items():
-        study = row.study_factory()
+    for domain in _limits():
+        study = domain_study(domain)
         out[domain] = {
             "study": study.name,
             "summary": study.summary(model),
@@ -177,7 +188,7 @@ def scenario_payload(tech: Union[str, TechBackend]) -> Dict[str, object]:
 
 def _domain_pace(domain: str) -> Optional[float]:
     """Historical compound annual performance gain for *domain* (CMOS)."""
-    study = _limits()[domain].study_factory()
+    study = domain_study(domain)
     try:
         rate, _ = _annual_gain_rate(study, CmosPotentialModel.paper())
     except ProjectionError:

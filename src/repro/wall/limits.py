@@ -17,6 +17,7 @@ from repro.cmos.model import CmosPotentialModel
 from repro.cmos.nodes import FINAL_NODE
 from repro.datasheets.schema import Category
 from repro.errors import ProjectionError
+from repro.memo import memo
 from repro.studies.base import CaseStudy
 from repro.wall.projection import FrontierFit, fit_projections
 
@@ -111,6 +112,16 @@ def _limits() -> Dict[str, DomainLimits]:
     return DOMAIN_LIMITS
 
 
+def domain_study(domain: str) -> CaseStudy:
+    """The Table V case study of *domain*, built once per process.
+
+    Keying by domain is exact: every envelope override (a backend's
+    ``wall_limits``) is a ``dataclasses.replace`` of the domain's Table V
+    row, so it keeps the row's ``study_factory``.
+    """
+    return memo(("wall.study", domain), _limits()[domain].study_factory)
+
+
 @dataclass(frozen=True)
 class WallReport:
     """The accelerator wall for one domain and one metric."""
@@ -190,7 +201,7 @@ def accelerator_wall(
             )
         row = limits_row
     cmos = model if model is not None else CmosPotentialModel.paper()
-    study = row.study_factory()
+    study = domain_study(domain)
 
     if metric == "performance":
         series = study.performance_series(cmos)

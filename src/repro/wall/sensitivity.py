@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cmos.model import CmosPotentialModel
 from repro.cmos.nodes import FINAL_NODE
-from repro.wall.limits import _limits, accelerator_wall
+from repro.wall.limits import _limits, accelerator_wall, domain_study
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def wall_sensitivity(
     cmos = model if model is not None else CmosPotentialModel.paper()
     baseline_report = accelerator_wall(domain, cmos, metric)
     row = _limits()[domain]
-    study = row.study_factory()
+    study = domain_study(domain)
     base_chip = study.chips[0]
 
     if metric == "performance":

@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.cmos.model import CmosPotentialModel
 from repro.errors import ProjectionError
 from repro.validate import require_finite, require_positive
-from repro.wall.limits import WallReport, _limits, accelerator_wall
+from repro.wall.limits import WallReport, _limits, accelerator_wall, domain_study
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def time_to_wall(
     """
     cmos = model if model is not None else CmosPotentialModel.paper()
     report: WallReport = accelerator_wall(domain, cmos, metric)
-    study = _limits()[domain].study_factory()
+    study = domain_study(domain)
     rate, last_year = _annual_gain_rate(study, cmos)
     low, high = report.headroom
     require_positive(low, "headroom (low)", ProjectionError)

@@ -234,17 +234,19 @@ class TestScheduleStore:
 class TestKernelTraceStore:
     def test_round_trip(self, tmp_path):
         store = KernelTraceStore(tmp_path)
-        assert store.get("TRD", n=16) is None
+        assert store.get("TRD") is None
         kernel = trd.build(n=16)
-        store.put("TRD", kernel, n=16)
-        cached = store.get("TRD", n=16)
+        store.put("TRD", kernel)
+        cached = store.get("TRD")
         assert cached is not None
         assert kernel_fingerprint(cached) == kernel_fingerprint(kernel)
 
-    def test_build_kwargs_distinguish_entries(self, tmp_path):
-        store = KernelTraceStore(tmp_path)
-        store.put("TRD", trd.build(n=16), n=16)
-        assert store.get("TRD", n=32) is None
+    def test_key_matches_existing_cache_directories(self):
+        # The digest entries were stored under before the key dropped
+        # build arguments; a default trace must still hit them.
+        assert KernelTraceStore.key("TRD") == (
+            "2355b85c259dd323600fa59e03f5f55a4464f7ce00404c9fd37bb1ea9b181211"
+        )
 
     def test_engine_trace_uses_store(self, tmp_path):
         engine = SweepEngine(jobs=1, cache_dir=tmp_path)

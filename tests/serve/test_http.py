@@ -232,14 +232,14 @@ class TestQueryEndpoints:
         assert "node" in payload["data"]["error"]
 
     def test_csr_series_matches_study(self, client):
-        from repro.cli import _study_object
         from repro.cmos.model import CmosPotentialModel
+        from repro.studies import named_study
 
         status, payload, _ = client.get("/csr/bitcoin")
         assert status == 200
         data = payload["data"]
         model = CmosPotentialModel.paper()
-        study = _study_object("bitcoin", model)
+        study = named_study("bitcoin")
         series = study.performance_series(model)
         assert data["study"] == study.name
         assert [p["csr"] for p in data["series"]] == [p.csr for p in series]

@@ -169,13 +169,23 @@ class TestModelCache:
         backend = get_backend("finfet")
         assert backend.model() is backend.model()
 
-    def test_prime_seeds_the_cache(self):
+    def test_instances_with_equal_parameters_share_one_model(self):
         from repro.tech import finfet_backend
 
-        backend = finfet_backend()  # fresh instance, empty cache
-        model = CmosPotentialModel.paper()
-        backend.prime(model)
-        assert backend.model() is model
+        assert finfet_backend().model() is get_backend("finfet").model()
+
+    def test_chiplet_base_is_part_of_the_key(self):
+        from repro.tech import chiplet_backend, finfet_backend
+
+        over_finfet = chiplet_backend(base=finfet_backend())
+        assert over_finfet.name == get_backend("chiplet").name
+        assert over_finfet.model() is not get_backend("chiplet").model()
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_wall_reports_are_computed_once(self, name):
+        from repro.tech.scenarios import wall_reports
+
+        assert wall_reports(name) is wall_reports(name)
 
     def test_base_backend_requires_build_model(self):
         backend = TechBackend(
