@@ -56,11 +56,8 @@ def scalar_oracle(kernel, grid) -> SweepStats:
     start = perf_counter()
     for design in grid:
         evaluate_design(kernel, design, library, precomputed=cache.get(design))
-    elapsed = perf_counter() - start
     return SweepStats(
-        design_points=len(grid),
-        elapsed_s=elapsed,
-        evaluate_s=elapsed - cache.schedule_s,
+        design_points=len(grid), elapsed_s=perf_counter() - start
     ).merge_counters(cache.counters())
 
 
@@ -102,8 +99,6 @@ def run(jobs: int, mode: str = "vectorized") -> dict:
             "jobs": stats.jobs,
             "chunks": stats.chunks,
             "elapsed_s": stats.elapsed_s,
-            "schedule_s": stats.schedule_s,
-            "evaluate_s": stats.evaluate_s,
             "memo_hits": stats.memo_hits,
             "memo_misses": stats.memo_misses,
         },

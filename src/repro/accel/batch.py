@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -462,7 +461,6 @@ class BatchEvaluator:
         n = len(design_list)
         if n == 0:
             return _empty_result(self.kernel.name)
-        start = perf_counter()
         with span("batch.evaluate", points=n):
             lib = self.library
             cache = self.cache
@@ -555,7 +553,6 @@ class BatchEvaluator:
             registry = metrics()
             registry.counter("batch.points").inc(n)
             registry.counter("batch.structures").inc(n_structs)
-            registry.histogram("batch.evaluate_s").observe(perf_counter() - start)
             return BatchResult(
                 kernel=self.kernel.name,
                 designs=design_list,

@@ -167,9 +167,7 @@ class DiskCache:
     def get(self, key: str):
         """Stored value for *key*, or ``None`` on any kind of miss."""
         path = self.path_for(key)
-        with span("cache.get", store=self.name), metrics().histogram(
-            f"cache.{self.name}.get_s"
-        ).time():
+        with span("cache.get", store=self.name):
             try:
                 with open(path, "rb") as handle:
                     entry = pickle.load(handle)
@@ -198,9 +196,7 @@ class DiskCache:
     def put(self, key: str, value) -> None:
         """Atomically store *value* under *key*; failures are non-fatal."""
         path = self.path_for(key)
-        with span("cache.put", store=self.name), metrics().histogram(
-            f"cache.{self.name}.put_s"
-        ).time():
+        with span("cache.put", store=self.name):
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

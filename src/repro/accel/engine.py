@@ -23,9 +23,10 @@ attributions through it.
   incrementally as chunk results arrive (:class:`ParetoAccumulator`), so
   ``SweepResult.pareto_frontier()`` is ready the moment the sweep ends.
 
-Every operation records per-stage wall time and cache hit/miss counters in
-a :class:`repro.accel.sweep.SweepStats`, exposed on ``SweepResult.stats``
-and accumulated on ``engine.stats`` across the engine's lifetime.
+Every operation records its wall time and cache hit/miss counters in a
+:class:`repro.accel.sweep.SweepStats`, exposed on ``SweepResult.stats``
+and accumulated on ``engine.stats`` across the engine's lifetime.  The
+split of that time into stages comes from the tracer's spans.
 """
 
 from __future__ import annotations
@@ -113,21 +114,18 @@ def _init_sweep_worker(
 
 def _evaluate(
     batch: BatchEvaluator, designs: Sequence[DesignPoint]
-) -> Tuple[BatchResult, Dict[str, float]]:
+) -> Tuple[BatchResult, Dict[str, int]]:
     """Evaluate *designs*, with the schedule-cache counter delta it caused."""
     cache = batch.cache
     before = cache.counters()
-    start = perf_counter()
     result = batch.evaluate(designs)
-    elapsed = perf_counter() - start
     delta = {key: value - before[key] for key, value in cache.counters().items()}
-    delta["evaluate_s"] = elapsed - delta["schedule_s"]
     return result, delta
 
 
 def _sweep_chunk(
     designs: Sequence[DesignPoint],
-) -> Tuple[BatchResult, Dict[str, float], List[Span]]:
+) -> Tuple[BatchResult, Dict[str, int], List[Span]]:
     """Evaluate one chunk in a worker process.
 
     Ships the :class:`BatchResult` column arrays back (the parent
@@ -162,7 +160,6 @@ def _attribute_kernel_task(
         _init_worker_tracer(trace_spans)
     lib = library if library is not None else ResourceLibrary()
     cache = _schedule_cache(kernel, lib, cache_dir)
-    start = perf_counter()
     attribution = attribute_gains(
         kernel,
         metric=metric,
@@ -173,9 +170,7 @@ def _attribute_kernel_task(
         simplifications=simplifications,
         cache=cache,
     )
-    elapsed = perf_counter() - start
     counters = cache.counters()
-    counters["evaluate_s"] = elapsed - counters["schedule_s"]
     # Every evaluation, the 45nm baseline included, is one memo lookup.
     counters["design_points"] = cache.memo_hits + cache.memo_misses
     spans = _drain_worker_spans() if trace_spans is not None else []
@@ -275,12 +270,11 @@ class SweepEngine:
         # can need fewer workers than configured.
         stats = SweepStats(design_points=len(design_list), jobs=1, chunks=1)
 
-        def collect(payload: BatchResult, delta: Dict[str, float]) -> None:
+        def collect(payload: BatchResult, delta: Dict[str, int]) -> None:
             chunk_reports = payload.reports()
             reports.extend(chunk_reports)
             for report in chunk_reports:
                 accumulator.add_report(report)
-            stats.evaluate_s += delta.pop("evaluate_s")
             stats.merge_counters(delta)
 
         with span("sweep", kernel=kernel.name, designs=len(design_list)):
@@ -373,7 +367,6 @@ class SweepEngine:
             for attribution, counters, worker_spans in outcomes:
                 attributions.append(attribution)
                 stats.design_points += int(counters.pop("design_points", 0))
-                stats.evaluate_s += counters.pop("evaluate_s", 0.0)
                 stats.merge_counters(counters)
                 if tracer is not None:
                     tracer.absorb(worker_spans)
@@ -419,8 +412,6 @@ class SweepEngine:
         registry.counter("engine.cache_misses").inc(stats.cache_misses)
         registry.gauge("engine.jobs").set(stats.jobs)
         registry.histogram("engine.elapsed_s").observe(stats.elapsed_s)
-        registry.histogram("engine.schedule_s").observe(stats.schedule_s)
-        registry.histogram("engine.evaluate_s").observe(stats.evaluate_s)
 
 
 def _log_stats(stats: SweepStats) -> Dict[str, object]:
@@ -430,8 +421,6 @@ def _log_stats(stats: SweepStats) -> Dict[str, object]:
         "jobs": stats.jobs,
         "chunks": stats.chunks,
         "elapsed_s": stats.elapsed_s,
-        "schedule_s": stats.schedule_s,
-        "evaluate_s": stats.evaluate_s,
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
     }

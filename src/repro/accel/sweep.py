@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -96,8 +95,8 @@ class ScheduleCache:
     In-memory memoisation is always on; pass a
     :class:`repro.accel.cache.ScheduleStore` to additionally read/write a
     persistent on-disk cache shared across processes and runs.  Counters
-    (``memo_hits``/``memo_misses``/``schedule_s``, plus the store's own
-    hit/miss counts) feed :class:`SweepStats`.
+    (``memo_hits``/``memo_misses``, plus the store's own hit/miss counts)
+    feed :class:`SweepStats`; scheduler time is the ``schedule`` span.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class ScheduleCache:
         self.store = store
         self.memo_hits = 0
         self.memo_misses = 0
-        self.schedule_s = 0.0
         self._fingerprints: Optional[Tuple[str, str]] = None
         # Partition factors beyond the graph size cannot change the schedule.
         n = len(kernel.dfg)
@@ -175,7 +173,7 @@ class ScheduleCache:
 
         *compute* overrides the scheduler invocation on a full miss — the
         batch evaluator passes its amortized fast path here — and still
-        flows through the same timing, metrics and store-write plumbing.
+        flows through the same ``schedule`` span and store-write plumbing.
         """
         partition = min(partition, self._partition_cap)
         key = (partition, window, extra)
@@ -195,7 +193,6 @@ class ScheduleCache:
                     fingerprints[0], fingerprints[1], partition, window, extra
                 )
         if sched is None:
-            start = perf_counter()
             with span(
                 "schedule", partition=partition, window=window, extra=extra
             ):
@@ -209,9 +206,6 @@ class ScheduleCache:
                         fusion_window=window,
                         latency_extra=extra,
                     )
-            elapsed = perf_counter() - start
-            self.schedule_s += elapsed
-            metrics().histogram("schedule").observe(elapsed)
             logger.debug(
                 "schedule.computed %s",
                 kv(
@@ -219,7 +213,6 @@ class ScheduleCache:
                     partition=partition,
                     window=window,
                     extra=extra,
-                    elapsed_s=elapsed,
                 ),
             )
             if self.store is not None:
@@ -245,26 +238,24 @@ class ScheduleCache:
         self.memo_hits += count
         metrics().counter("cache.memo.hits").inc(count)
 
-    def counters(self) -> Dict[str, float]:
-        """Snapshot of all counters (memo + persistent store + timing)."""
+    def counters(self) -> Dict[str, int]:
+        """Snapshot of all counters (memo + persistent store)."""
         return {
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "cache_hits": self.store.hits if self.store is not None else 0,
             "cache_misses": self.store.misses if self.store is not None else 0,
-            "schedule_s": self.schedule_s,
         }
 
 
 @dataclass
 class SweepStats:
-    """Timing and cache instrumentation of one engine/sweep invocation.
+    """Wall time and cache instrumentation of one engine/sweep invocation.
 
     ``memo_*`` count the in-memory structural memoisation; ``cache_*``
-    count the persistent on-disk store (zero when caching is off).
-    ``schedule_s``/``evaluate_s`` are cumulative stage times — summed
-    across worker processes, so they can exceed ``elapsed_s`` wall time
-    when ``jobs > 1``.
+    count the persistent on-disk store (zero when caching is off).  The
+    split of the time into stages is read from the tracer's spans
+    (``--profile``), not from here.
 
     ``elapsed_s`` is always the *wall-clock* duration of the operation
     that produced the stats, on every path (serial, parallel,
@@ -280,8 +271,6 @@ class SweepStats:
     jobs: int = 1
     chunks: int = 1
     elapsed_s: float = 0.0
-    schedule_s: float = 0.0
-    evaluate_s: float = 0.0
     memo_hits: int = 0
     memo_misses: int = 0
     cache_hits: int = 0
@@ -303,28 +292,24 @@ class SweepStats:
         self.design_points += other.design_points
         self.chunks += other.chunks
         self.elapsed_s += other.elapsed_s
-        self.schedule_s += other.schedule_s
-        self.evaluate_s += other.evaluate_s
         self.memo_hits += other.memo_hits
         self.memo_misses += other.memo_misses
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         return self
 
-    def merge_counters(self, counters: Dict[str, float]) -> "SweepStats":
+    def merge_counters(self, counters: Dict[str, int]) -> "SweepStats":
         """Accumulate a :meth:`ScheduleCache.counters` snapshot."""
         self.memo_hits += int(counters.get("memo_hits", 0))
         self.memo_misses += int(counters.get("memo_misses", 0))
         self.cache_hits += int(counters.get("cache_hits", 0))
         self.cache_misses += int(counters.get("cache_misses", 0))
-        self.schedule_s += counters.get("schedule_s", 0.0)
         return self
 
     def describe(self) -> str:
         return (
             f"{self.design_points} design points in {self.elapsed_s:.3f}s "
             f"(jobs={self.jobs}, chunks={self.chunks}; "
-            f"schedule {self.schedule_s:.3f}s, evaluate {self.evaluate_s:.3f}s; "
             f"disk cache {self.cache_hits} hits / {self.cache_misses} misses "
             f"[{100.0 * self.hit_rate:.0f}%], "
             f"memo {self.memo_hits} hits / {self.memo_misses} misses)"
@@ -337,8 +322,6 @@ class SweepStats:
             "jobs": self.jobs,
             "chunks": self.chunks,
             "elapsed_s": self.elapsed_s,
-            "schedule_s": self.schedule_s,
-            "evaluate_s": self.evaluate_s,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "cache_hits": self.cache_hits,

@@ -15,9 +15,9 @@ Usage (installed as ``accelerator-wall``, or ``python -m repro``):
 
 Observability: ``-v``/``-vv`` enable structured ``key=value`` logging on
 the ``repro.*`` loggers; the DSE-backed commands (``plot``, ``export``)
-additionally accept ``--profile`` (per-stage time table after the run)
-and ``--trace-out FILE`` (Chrome trace-event JSON for Perfetto /
-``chrome://tracing``).
+additionally accept ``--profile`` (per-stage self time and share of
+wall time after the run) and ``--trace-out FILE`` (Chrome trace-event
+JSON for Perfetto / ``chrome://tracing``).
 
 Provenance: ``export``, ``plot``, and ``check`` record a run manifest
 (git SHA, config/input hashes, metrics, timings) into the run ledger
@@ -37,10 +37,12 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.cmos.model import CmosPotentialModel
 from repro.errors import ReproError, ValidationError
+from repro.obs.trace import Tracer, set_tracer, span
 from repro.reporting.tables import (
     render_rows,
     table1_specialization_concepts,
@@ -141,21 +143,28 @@ def _metrics_path():
     return default_cache_dir() / "metrics.json"
 
 
-def _obs_begin(args):
-    """Install a process tracer when ``--profile``/``--trace-out`` ask for one."""
-    from repro.obs.trace import Tracer, set_tracer
+@contextmanager
+def _observed(args, command: str) -> Iterator[Dict[str, Any]]:
+    """Run *command* under a tracer (if asked for), its root span and a manifest.
 
+    Yields a dict for the ``manifest`` and the ``engine`` the command sets.
+    """
+    tracer = None
     if getattr(args, "profile", False) or getattr(args, "trace_out", None):
         tracer = Tracer()
         set_tracer(tracer)
-        return tracer
-    return None
+    run: Dict[str, Any] = {"manifest": None, "engine": None}
+    try:
+        with span(command):
+            run["manifest"] = _capture_manifest(args, command)
+            yield run
+    finally:
+        _obs_finish(args, tracer, manifest=run["manifest"], engine=run["engine"])
 
 
 def _obs_finish(args, tracer, manifest=None, engine=None) -> None:
     """Render/export the trace, uninstall it, persist snapshot + manifest."""
     from repro.obs.metrics import metrics
-    from repro.obs.trace import set_tracer
     from repro.provenance.manifest import SCHEMA_VERSION, write_json_atomic
 
     if tracer is not None:
@@ -444,18 +453,11 @@ PLOTS = ("fig1", "fig4", "fig9", "fig13", "fig15")
 
 
 def _cmd_plot(args) -> int:
-    tracer = _obs_begin(args)
-    manifest = _capture_manifest(args, "plot")
-    engine_box = {}
-    try:
-        return _plot_body(args, engine_box)
-    finally:
-        _obs_finish(
-            args, tracer, manifest=manifest, engine=engine_box.get("engine")
-        )
+    with _observed(args, "plot") as run:
+        return _plot_body(args, run)
 
 
-def _plot_body(args, engine_box) -> int:
+def _plot_body(args, run) -> int:
     from repro.reporting.ascii_plots import (
         plot_csr_series,
         plot_frontier,
@@ -483,7 +485,7 @@ def _plot_body(args, engine_box) -> int:
         from repro.accel.sweep import default_design_grid
         from repro.workloads import get_workload
 
-        engine = engine_box["engine"] = _dse_engine(args)
+        engine = run["engine"] = _dse_engine(args)
         kernel = engine.trace(get_workload("S3D"))
         result = engine.sweep(kernel, default_design_grid())
         print(plot_runtime_power(result.reports))
@@ -558,11 +560,8 @@ def _cmd_check(args) -> int:
 def _cmd_export(args) -> int:
     from repro.reporting.export import export_all
 
-    tracer = _obs_begin(args)
-    manifest = _capture_manifest(args, "export")
-    engine = None
-    try:
-        engine = _dse_engine(args)
+    with _observed(args, "export") as run:
+        engine = run["engine"] = _dse_engine(args)
         names = (
             [name.strip() for name in args.only.split(",") if name.strip()]
             if args.only
@@ -573,7 +572,7 @@ def _cmd_export(args) -> int:
             _model(args),
             names=names,
             engine=engine,
-            manifest=manifest,
+            manifest=run["manifest"],
             tech=getattr(args, "tech", None),
         )
         for name, path in paths.items():
@@ -581,8 +580,6 @@ def _cmd_export(args) -> int:
         if engine.stats.design_points:
             print(f"[dse] {engine.stats.describe()}")
         return 0
-    finally:
-        _obs_finish(args, tracer, manifest=manifest, engine=engine)
 
 
 def _cmd_serve(args) -> int:

@@ -12,10 +12,12 @@ Three cooperating modules:
   process/thread ids, exportable as Chrome trace-event JSON (open the
   file in Perfetto or ``chrome://tracing``).  Worker processes record
   their own spans, which the engine ships back with chunk results and
-  merges into the parent trace.
+  merges into the parent trace.  Spans are the only per-stage clock;
+  :meth:`Tracer.stage_rows` adds them up into self times.
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters,
-  gauges, and latency histograms.  Cache hit/miss/write/drop counts and
-  per-stage times are published here; ``repro stats`` renders the snapshot.
+  gauges, and latency histograms.  Cache hit/miss/write/drop counts,
+  each engine operation's wall time and serve latencies are published
+  here; ``repro stats`` renders the snapshot.
 * :mod:`repro.obs.log` — ``key=value`` structured logging on ``repro.*``
   loggers, configured once from the CLI ``-v``/``-vv`` flags.
 

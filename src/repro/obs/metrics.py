@@ -12,19 +12,21 @@ Three instrument kinds:
 * :class:`Gauge` — a point-in-time float, last write wins.
 * :class:`Histogram` — a log-linear-bucket latency distribution with
   :meth:`~Histogram.quantile` estimates, mergeable across processes.
-  Every timing is recorded in one (:meth:`Histogram.observe` or
-  :meth:`Histogram.time`), so operators see p50/p99, not just means
-  (METHODOLOGY §15).
+  The timings that must be readable without a tracer (an engine
+  operation's wall time, serve request latencies and job durations) are
+  recorded in one with :meth:`Histogram.observe`, so operators see
+  p50/p99, not just means (METHODOLOGY §15).  How a run's time splits
+  into stages is read from spans (:mod:`repro.obs.trace`), not here.
 
 Every instrument takes its own lock around mutation, so concurrent
 threads in the serve harness never lose increments — the registry lock
 only guards instrument *creation*.
 
 The registry is per *process*.  The sweep engine folds its worker
-processes' cache/stage counters into the parent's ``engine.*`` metrics
-via :class:`repro.accel.sweep.SweepStats`, so the parent snapshot covers
-the whole run; the ``cache.*`` families count only the calling process's
-own cache traffic (see METHODOLOGY §10).
+processes' cache counters into the parent's ``engine.*`` metrics via
+:class:`repro.accel.sweep.SweepStats`, so the parent snapshot covers the
+whole run; the ``cache.*`` and ``batch.*`` families count only the
+calling process's own traffic (see METHODOLOGY §10).
 
 Snapshots are plain dicts, so they can be persisted as JSON and merged
 with :meth:`MetricsRegistry.absorb` (counters and histograms add; gauges
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -80,22 +81,6 @@ class Gauge:
         with self._lock:
             self.value = float(value)
             return self.value
-
-
-class _TimerContext:
-    __slots__ = ("_observe", "_start")
-
-    def __init__(self, instrument):
-        self._observe = instrument.observe
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._observe(time.perf_counter() - self._start)
-        return False
 
 
 # -- log-linear histogram buckets ---------------------------------------------
@@ -177,10 +162,6 @@ class Histogram:
             if self.max_s is None or value > self.max_s:
                 self.max_s = value
             self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def time(self) -> _TimerContext:
-        """Context manager observing the duration of its body."""
-        return _TimerContext(self)
 
     @property
     def mean_s(self) -> float:

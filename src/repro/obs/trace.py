@@ -37,7 +37,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
@@ -338,32 +338,75 @@ class Tracer:
         return path
 
     def stage_rows(self) -> List[Dict[str, object]]:
-        """Per-stage aggregation: one row per span name, longest first.
+        """Per-stage rows behind ``--profile``, largest self time first.
 
-        The rows behind the CLI ``--profile`` table: call count, total
-        and mean time, and each stage's share of the summed span time
-        (shares can exceed 100% of wall time when workers overlap).
+        Per span name: ``calls``; ``self_s``, the duration minus the time
+        child spans on the same (pid, tid) track cover; ``total_s``, the
+        inclusive duration; and ``share``, ``self_s`` as a percentage of
+        wall time, the length of the union of all depth-0 spans.  In a
+        serial run under one root span, ``self_s`` sums to the root's
+        ``total_s`` and ``share`` to 100.  Worker spans ran in parallel,
+        so with workers both sum past that, and a parent waiting on its
+        workers shows the wait as self time.
         """
+        spans = self.spans
+        covered = [0.0] * len(spans)
+        tracks: Dict[Tuple[int, int], List[int]] = {}
+        for index, s in enumerate(spans):
+            tracks.setdefault((s.pid, s.tid), []).append(index)
+        for indices in tracks.values():
+            # In start order (a parent before a child that starts with it),
+            # a span's parent is the latest span opened one level up.
+            indices.sort(key=lambda i: (spans[i].start_s, spans[i].depth))
+            latest: Dict[int, int] = {}
+            children: Dict[int, List[Tuple[float, float]]] = {}
+            for index in indices:
+                child = spans[index]
+                parent_index = latest.get(child.depth - 1)
+                if parent_index is not None:
+                    parent = spans[parent_index]
+                    start = max(parent.start_s, child.start_s)
+                    end = min(parent.end_s, child.end_s)
+                    if start < end:
+                        children.setdefault(parent_index, []).append((start, end))
+                latest[child.depth] = index
+            for parent_index, intervals in children.items():
+                covered[parent_index] = _union_length(intervals)
+
         totals: Dict[str, List[float]] = {}
-        for s in self.spans:
-            bucket = totals.setdefault(s.name, [0, 0.0])
+        for index, s in enumerate(spans):
+            bucket = totals.setdefault(s.name, [0, 0.0, 0.0])
             bucket[0] += 1
-            bucket[1] += s.duration_s
-        grand = sum(t for _, t in totals.values()) or 1.0
-        rows = []
-        for name, (count, total) in sorted(
-            totals.items(), key=lambda kv: kv[1][1], reverse=True
-        ):
-            rows.append(
-                {
-                    "stage": name,
-                    "calls": int(count),
-                    "total_s": f"{total:.4f}",
-                    "mean_ms": f"{1e3 * total / count:.3f}",
-                    "share": f"{100.0 * total / grand:.1f}%",
-                }
-            )
-        return rows
+            bucket[1] += s.duration_s - covered[index]
+            bucket[2] += s.duration_s
+        wall = _union_length([(s.start_s, s.end_s) for s in spans if s.depth == 0])
+        ordered = sorted(totals.items(), key=lambda item: (-item[1][1], item[0]))
+        return [
+            {
+                "stage": name,
+                "calls": int(calls),
+                "self_s": self_s,
+                "total_s": total_s,
+                "share": 100.0 * self_s / wall if wall > 0.0 else 0.0,
+            }
+            for name, (calls, self_s, total_s) in ordered
+        ]
+
+
+def _union_length(intervals: Iterable[Tuple[float, float]]) -> float:
+    """Total length covered by *intervals* (overlaps counted once)."""
+    total = 0.0
+    current: Optional[List[float]] = None
+    for start, end in sorted(intervals):
+        if current is None or start > current[1]:
+            if current is not None:
+                total += current[1] - current[0]
+            current = [start, end]
+        else:
+            current[1] = max(current[1], end)
+    if current is not None:
+        total += current[1] - current[0]
+    return total
 
 
 # -- the process-wide tracer --------------------------------------------------

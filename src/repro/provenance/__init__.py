@@ -8,7 +8,7 @@ since the last run.  Three cooperating modules:
 * :mod:`repro.provenance.manifest` — a versioned :class:`RunManifest`
   (git SHA + dirty flag, interpreter/numpy/platform versions, CLI argv,
   model-parameter and input-datasheet content hashes, wall-clock, the
-  observability layer's metrics snapshot and per-stage timer table)
+  observability layer's metrics snapshot and per-stage self-time table)
   stamped into every exported artifact and persisted by the append-only
   :class:`RunLedger` as ``runs/<run_id>/manifest.json``.
 * :mod:`repro.provenance.drift` — diffs two runs' golden numbers (the

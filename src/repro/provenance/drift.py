@@ -7,8 +7,8 @@ event, not noise.  This module diffs two :class:`RunManifest`\\ s:
 
 * **Golden numbers** — every numeric leaf of the golden artifacts
   (flattened to dotted-path names like ``fig15_16.3.projected_log``) is
-  compared under per-quantity absolute/relative tolerances.  Exceeding a
-  tolerance, or a quantity appearing/disappearing, is *drift*.
+  compared under one absolute/relative tolerance.  Exceeding it, or a
+  quantity appearing/disappearing, is *drift*.
 * **Perf** — the engine statistics recorded in each manifest (and, for
   benchmark history, ``BENCH_*.json`` entries) are compared under
   threshold-based regression flags: wall-clock blowups and persistent
@@ -44,7 +44,6 @@ __all__ = [
     "compare_runs",
     "flatten_scalars",
     "golden_numbers",
-    "tolerance_for",
 ]
 
 #: Artifacts whose scalars form the golden-number set (the ISSUE's
@@ -80,7 +79,7 @@ def is_golden_artifact(name: str) -> bool:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Per-quantity drift tolerance: pass if |delta| <= abs OR rel."""
+    """Drift tolerance: pass if |delta| <= abs OR rel."""
 
     rel: float = 1e-9
     abs: float = 1e-12
@@ -98,18 +97,6 @@ class Tolerance:
 #: The default: golden numbers are deterministic float arithmetic, so two
 #: runs of the same code/config/inputs must agree to rounding.
 DEFAULT_TOLERANCE = Tolerance()
-
-#: Longest-prefix tolerance overrides (quantity name -> tolerance).
-TOLERANCES: Dict[str, Tolerance] = {}
-
-
-def tolerance_for(name: str) -> Tolerance:
-    """The override with the longest matching prefix, else the default."""
-    best: Optional[Tuple[int, Tolerance]] = None
-    for prefix, tolerance in TOLERANCES.items():
-        if name.startswith(prefix) and (best is None or len(prefix) > best[0]):
-            best = (len(prefix), tolerance)
-    return best[1] if best is not None else DEFAULT_TOLERANCE
 
 
 # -- golden-number extraction -------------------------------------------------
@@ -240,14 +227,15 @@ class DriftReport:
 def compare_golden(
     a: Mapping[str, float], b: Mapping[str, float]
 ) -> Tuple[int, List[QuantityDrift], List[str], List[str]]:
-    """Diff two golden-number maps under the per-quantity tolerances."""
+    """Diff two golden-number maps under :data:`DEFAULT_TOLERANCE`."""
     shared = sorted(set(a) & set(b))
     drifted = []
     for name in shared:
-        tolerance = tolerance_for(name)
-        if not tolerance.allows(float(a[name]), float(b[name])):
+        if not DEFAULT_TOLERANCE.allows(float(a[name]), float(b[name])):
             drifted.append(
-                QuantityDrift(name, float(a[name]), float(b[name]), tolerance)
+                QuantityDrift(
+                    name, float(a[name]), float(b[name]), DEFAULT_TOLERANCE
+                )
             )
     added = sorted(set(b) - set(a))
     removed = sorted(set(a) - set(b))

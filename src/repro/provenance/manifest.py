@@ -4,7 +4,7 @@ A :class:`RunManifest` answers "which code, config, inputs, and timings
 produced this artifact?" for one CLI/benchmark invocation: git SHA and
 dirty flag, interpreter/numpy/platform versions, the CLI argv, content
 hashes of the model configuration and every input datasheet population,
-wall-clock, the metrics snapshot and per-stage timer table from the
+wall-clock, the metrics snapshot and per-stage self-time table from the
 observability layer, engine/cache statistics, golden-number scalars, and
 (for ``repro check``) per-check outcomes.
 

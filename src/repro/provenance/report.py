@@ -1,7 +1,7 @@
 """Render run manifests and drift reports as markdown or HTML.
 
 The ``repro report`` CLI command renders either a single run's provenance
-summary (identity, environment, hashes, engine stats, per-stage timers,
+summary (identity, environment, hashes, engine stats, per-stage times,
 check outcomes, and a perf-history sparkline over the ledger) or a
 two-run :class:`~repro.provenance.drift.DriftReport`.
 
@@ -109,13 +109,27 @@ def _engine_section(manifest: RunManifest) -> Optional[Section]:
     return section
 
 
+_STAGE_FORMATS = {"self_s": "{:.4f}", "total_s": "{:.4f}", "share": "{:.1f}%"}
+
+
+def _stage_cell(column: str, value: object) -> str:
+    spec = _STAGE_FORMATS.get(column)
+    if spec is not None and isinstance(value, (int, float)):
+        return spec.format(value)
+    return str(value)
+
+
 def _stages_section(manifest: RunManifest) -> Optional[Section]:
     if not manifest.stages:
         return None
     section = Section("Per-stage time")
-    headers = ("stage", "calls", "total_s", "mean_ms", "share")
+    section.lines.append(
+        "self_s: time not covered by a child span on the same track; "
+        "share: self_s over the run's wall time."
+    )
+    headers = ("stage", "calls", "self_s", "total_s", "share")
     rows = [
-        [str(row.get(column, "")) for column in headers]
+        [_stage_cell(column, row.get(column, "")) for column in headers]
         for row in manifest.stages
     ]
     section.tables.append((headers, rows))

@@ -509,9 +509,8 @@ class ServeApp:
             trace_id = new_trace_id()
         request.trace_id = trace_id
         start_unix = time.time()
-        start = perf_counter()
         with trace_scope(trace_id):
-            response, route_name = await self._dispatch_routed(request)
+            response, route_name, elapsed = await self._dispatch_routed(request)
         response.headers.setdefault("X-Trace-Id", trace_id)
         recorder = getattr(self, "recorder", None)
         if recorder is not None:
@@ -522,7 +521,7 @@ class ServeApp:
                 method=request.method,
                 path=request.path,
                 status=response.status,
-                duration_s=perf_counter() - start,
+                duration_s=elapsed,
                 start_unix=start_unix,
                 client=request.client,
                 worker=self.config.worker_index,
@@ -530,8 +529,12 @@ class ServeApp:
             )
         return response
 
-    async def _dispatch_routed(self, request: Request) -> Tuple[Response, str]:
-        """Resolve, guard, and run one request; returns (response, route)."""
+    async def _dispatch_routed(self, request: Request) -> Tuple[Response, str, float]:
+        """Resolve, guard, and run one request.
+
+        Returns the response, the route name and the request's one latency
+        measurement, which the flight recorder also reports.
+        """
         registry = metrics()
         start = perf_counter()
         route_name = "unrouted"
@@ -618,7 +621,7 @@ class ServeApp:
                 client=request.client,
             ),
         )
-        return response, route_name
+        return response, route_name, elapsed
 
     # -- the HTTP/1.1 protocol --------------------------------------------------
 

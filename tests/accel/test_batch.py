@@ -32,6 +32,7 @@ from repro.accel.sweep import (
 from repro.accel.trace import TracedKernel
 from repro.dfg.graph import Dfg, NodeKind
 from repro.dfg.transforms import dead_code_eliminate
+from repro.obs.trace import Tracer, set_tracer
 from repro.workloads import build_kernel, s3d, trd
 
 GRID = dict(
@@ -244,10 +245,19 @@ class TestCacheIntegration:
         assert cold_cache.store.writes > 0
 
         warm_cache = ScheduleCache(kernel, lib, store=ScheduleStore(tmp_path))
-        warm = BatchEvaluator(kernel, cache=warm_cache).evaluate(grid)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            warm = BatchEvaluator(kernel, cache=warm_cache).evaluate(grid)
+        finally:
+            set_tracer(previous)
         assert warm.reports() == cold.reports()
         assert warm_cache.store.hits == warm.structures
-        assert warm_cache.schedule_s == 0.0  # every schedule came from disk
+        # Every schedule came from disk: the store reads were traced and
+        # the scheduler never ran.
+        names = [s.name for s in tracer.spans]
+        assert names.count("cache.get") == warm.structures
+        assert "schedule" not in names
 
     def test_store_fingerprints_computed_once_per_miss(self, tmp_path, kernel):
         cache = ScheduleCache(kernel, ResourceLibrary(), store=ScheduleStore(tmp_path))

@@ -25,6 +25,7 @@ from repro.accel.cache import (
 from repro.accel.engine import SweepEngine
 from repro.accel.resources import ResourceLibrary
 from repro.accel.sweep import ScheduleCache, default_design_grid, sweep
+from repro.obs.trace import Tracer, set_tracer
 from repro.workloads import WORKLOADS, s3d, trd
 
 GRID = dict(
@@ -264,11 +265,20 @@ class TestWarmSweep:
         assert cold.stats.cache_hits == 0
         assert cold.stats.cache_misses > 0
 
-        warm = SweepEngine(jobs=1, cache_dir=tmp_path).sweep(kernel, grid)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            warm = SweepEngine(jobs=1, cache_dir=tmp_path).sweep(kernel, grid)
+        finally:
+            set_tracer(previous)
         assert warm.reports == cold.reports
         assert warm.stats.cache_hits > 0
         assert warm.stats.hit_rate == 1.0
-        assert warm.stats.schedule_s == 0.0  # every schedule came from disk
+        # Every schedule came from disk: the store reads were traced and
+        # the scheduler never ran.
+        names = [s.name for s in tracer.spans]
+        assert names.count("cache.get") == warm.stats.cache_hits
+        assert "schedule" not in names
 
     def test_cache_matches_uncached_results(self, tmp_path, kernel):
         grid = default_design_grid(**GRID)

@@ -38,13 +38,6 @@ class TestInstruments:
         assert timer.sum_s == pytest.approx(0.6)
         assert timer.mean_s == pytest.approx(0.3)
 
-    def test_timer_context_manager(self):
-        timer = Histogram()
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.sum_s >= 0.0
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):

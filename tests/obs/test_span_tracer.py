@@ -172,22 +172,68 @@ class TestChromeExport:
 
 
 class TestStageRows:
-    def test_aggregates_by_name_longest_first(self):
+    # Synthetic spans on dyadic times, so every expected value is exact.
+    # The parent process (pid 1) runs root [0, 8) with two calls of child
+    # ([1, 3) and [4, 6)) and one grandchild [1.5, 2.5) inside the first
+    # child.  A worker (pid 2) runs a top-level span [4, 16), in parallel
+    # with the root: wall time is the union [0, 16).
+    T0 = 100.0
+
+    def _spans(self, worker=True):
+        t = self.T0
+        spans = [
+            Span("child", t + 1.0, 2.0, 1, 1, 1),
+            Span("grandchild", t + 1.5, 1.0, 1, 1, 2),
+            Span("child", t + 4.0, 2.0, 1, 1, 1),
+            Span("root", t, 8.0, 1, 1, 0),
+        ]
+        if worker:
+            spans.append(Span("chunk", t + 4.0, 12.0, 2, 1, 0))
+        return spans
+
+    def test_self_time_share_of_wall_and_order(self):
         tracer = Tracer()
-        tracer.absorb(
-            [
-                Span("fast", 0.0, 0.1, 1, 1, 0),
-                Span("slow", 0.0, 0.7, 1, 1, 0),
-                Span("fast", 0.2, 0.2, 1, 1, 0),
-            ]
-        )
+        tracer.absorb(self._spans())
+        assert tracer.stage_rows() == [
+            {"stage": "chunk", "calls": 1, "self_s": 12.0, "total_s": 12.0,
+             "share": 75.0},
+            {"stage": "root", "calls": 1, "self_s": 4.0, "total_s": 8.0,
+             "share": 25.0},
+            {"stage": "child", "calls": 2, "self_s": 3.0, "total_s": 4.0,
+             "share": 18.75},
+            {"stage": "grandchild", "calls": 1, "self_s": 1.0,
+             "total_s": 1.0, "share": 6.25},
+        ]
+
+    def test_serial_self_times_add_up_to_the_root(self):
+        tracer = Tracer()
+        tracer.absorb(self._spans(worker=False))
         rows = tracer.stage_rows()
-        assert [r["stage"] for r in rows] == ["slow", "fast"]
-        slow, fast = rows
-        assert slow["calls"] == 1 and fast["calls"] == 2
-        assert float(fast["total_s"]) == pytest.approx(0.3)
-        assert float(fast["mean_ms"]) == pytest.approx(150.0)
-        assert slow["share"] == "70.0%"
+        root = next(row for row in rows if row["stage"] == "root")
+        assert sum(row["self_s"] for row in rows) == root["total_s"] == 8.0
+        assert sum(row["share"] for row in rows) == 100.0
+
+    def test_recorded_spans_add_up(self):
+        tracer = Tracer()
+        with tracer.span("root"):
+            with tracer.span("child"):
+                with tracer.span("grandchild"):
+                    pass
+            with tracer.span("child"):
+                pass
+        rows = tracer.stage_rows()
+        root = next(row for row in rows if row["stage"] == "root")
+        assert {row["stage"]: row["calls"] for row in rows} == {
+            "root": 1, "child": 2, "grandchild": 1,
+        }
+        # The depths the tracer records nest the rows, whatever the clock
+        # read: self times add up to the root's inclusive time.
+        assert sum(row["self_s"] for row in rows) == pytest.approx(
+            root["total_s"], abs=1e-12
+        )
+        for row in rows:
+            assert isinstance(row["self_s"], float)
+            assert isinstance(row["share"], float)
 
     def test_empty_tracer_has_no_rows(self):
         assert Tracer().stage_rows() == []

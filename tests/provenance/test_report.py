@@ -29,8 +29,8 @@ def _manifest(run_id, created_unix=1000.0, elapsed=1.0, **overrides):
         elapsed_s=elapsed,
         golden={"table5.0.x": 1.5},
         engine={"jobs": 2, "stats": {"elapsed_s": elapsed}},
-        stages=[{"stage": "sweep", "calls": 1, "total_s": "1.0",
-                 "mean_ms": "1000.0", "share": "100.0%"}],
+        stages=[{"stage": "sweep", "calls": 1, "self_s": 0.75,
+                 "total_s": 1.0, "share": 75.0}],
         checks=[{"subsystem": "csr", "name": "eq2", "ok": True, "detail": "ok"}],
     )
     payload.update(overrides)
@@ -48,6 +48,7 @@ class TestRunReport:
         ):
             assert heading in text
         assert "abc123def456" in text
+        assert "| sweep | 1 | 0.7500 | 1.0000 | 75.0% |" in text
 
     def test_html_is_escaped_page(self):
         manifest = _manifest("r1", environment={"python": "<3.11>"})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span
 from repro.serve.app import OPS_ROUTES
 from repro.serve.debug import (
@@ -247,6 +248,19 @@ class TestDebugEndpoints:
         assert all(
             e["args"]["trace_id"] == tid for e in events if e["ph"] == "X"
         )
+
+    def test_route_latency_is_the_recorded_duration(
+        self, server, client, monkeypatch
+    ):
+        # One stopwatch per request: the route histogram observes exactly
+        # the duration the flight recorder keeps.
+        registry = MetricsRegistry()
+        monkeypatch.setattr("repro.serve.app.metrics", lambda: registry)
+        _, _, headers = client.get("/version")
+        (record,) = server.app.recorder.trace(headers["x-trace-id"])
+        histogram = registry.histogram(f"serve.latency_s.{record.route}")
+        assert histogram.count == 1
+        assert histogram.sum_s == record.duration_s
 
     def test_debug_trace_unknown_id_is_404(self, client):
         status, payload, _ = client.get("/debug/trace/no-such-trace")

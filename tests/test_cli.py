@@ -169,7 +169,7 @@ class TestObservability:
             assert isinstance(event["ts"], (int, float))
             assert isinstance(event["dur"], (int, float))
         names = {e["name"] for e in events}
-        assert {"sweep", "schedule", "evaluate", "cache.lookup"} <= names
+        assert {"plot", "sweep", "schedule", "evaluate", "cache.lookup"} <= names
         # Spans came from the parent *and* its worker processes.
         assert len({e["pid"] for e in events}) >= 2
 
