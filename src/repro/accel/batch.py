@@ -59,18 +59,13 @@ import numpy as np
 from repro.accel.design import DesignPoint
 from repro.accel.power import PowerReport
 from repro.accel.resources import OpClass, ResourceLibrary, op_class
-from repro.accel.scheduler import Schedule, _fuse_chains, _node_op
+from repro.accel.scheduler import _CLASS_LIST, Schedule, _fuse_chains, _vertex_ops
 from repro.accel.sweep import ScheduleCache
 from repro.accel.trace import TracedKernel
 from repro.obs.metrics import metrics
 from repro.obs.trace import span
 
 __all__ = ["BatchEvaluator", "BatchResult", "MacroGraph"]
-
-#: Functional-unit classes in declaration order — the iteration order the
-#: scalar path's ``provisioned`` dict and leakage sum use.
-_CLASS_LIST: Tuple[OpClass, ...] = tuple(OpClass)
-
 
 class MacroGraph:
     """Fusion-contracted macro DAG of one kernel at one fusion window.
@@ -96,41 +91,48 @@ class MacroGraph:
         self.library = library
         self.fusion_window = fusion_window
 
+        # Per-graph tables (op classes, op counts, the DFG's topological
+        # order) are computed once and shared by every window.
+        classes, op_counts = _vertex_ops(dfg)
         macro_of = _fuse_chains(dfg, fusion_window)
-        members: Dict[int, List[int]] = {}
-        for nid, macro in macro_of.items():
-            members.setdefault(macro, []).append(nid)
-        #: Macro ids (chain heads) in the scheduler's ``members`` order.
-        self.macros: List[int] = list(members)
-        self.n_macros = len(members)
-        self.fused_away = len(dfg) - len(members)
-
-        size = (max(dfg.node_ids()) + 1) if len(dfg) else 0
+        size = len(dfg)
         self._size = size
-        class_index = {klass: i for i, klass in enumerate(_CLASS_LIST)}
-        #: Functional-unit class index per macro id (-1 for non-heads).
-        self.class_of: List[int] = [-1] * size
-        for m in self.macros:
-            self.class_of[m] = class_index[op_class(_node_op(dfg, m))]
+        #: Macro ids (chain heads) in vertex id order.
+        self.macros: List[int] = [m for m in range(size) if macro_of[m] == m]
+        self.n_macros = len(self.macros)
+        self.fused_away = size - self.n_macros
+
+        #: Functional-unit class index per vertex id (shared by all windows;
+        #: the loop reads the macro heads').
+        self.class_of: List[int] = classes
         #: Macros per class, in class declaration order.
         self.demand: List[int] = [0] * len(_CLASS_LIST)
         for m in self.macros:
-            self.demand[self.class_of[m]] += 1
+            self.demand[classes[m]] += 1
         #: Partition factor beyond which every pool is fully provisioned.
         self.saturation = max(self.demand) if self.macros else 1
 
-        # Deduplicated macro DAG (sets collapse parallel DFG edges, exactly
-        # as the scheduler's macro_preds/macro_succs sets do).
-        succ_sets: Dict[int, set] = {m: set() for m in self.macros}
-        pred_count: List[int] = [0] * size
-        for src, dst in dfg.edges():
-            ms, md = macro_of[src], macro_of[dst]
-            if ms != md and md not in succ_sets[ms]:
-                succ_sets[ms].add(md)
-                pred_count[md] += 1
+        # Deduplicated macro DAG: parallel DFG edges between two chains
+        # collapse into one macro edge, as in the scheduler's edge sets.
+        # Every chain member but the last has one successor, the next
+        # member, so a macro's edges all leave from its last member.
+        offsets, succ = dfg.successor_lists()
         self.succs: List[Tuple[int, ...]] = [()] * size
-        for m, succ in succ_sets.items():
-            self.succs[m] = tuple(succ)
+        pred_count: List[int] = [0] * size
+        for nid in range(size):
+            first, end = offsets[nid], offsets[nid + 1]
+            if end - first == 1:
+                target = macro_of[succ[first]]
+                if target == macro_of[nid]:
+                    continue  # inside a chain
+                out: Tuple[int, ...] = (target,)
+            elif end == first:
+                continue
+            else:
+                out = tuple({macro_of[s] for s in succ[first:end]})
+            self.succs[macro_of[nid]] = out
+            for s in out:
+                pred_count[s] += 1
         self.pred_count = pred_count
 
         # One topological order over macros, reused for every priority pass.
@@ -154,14 +156,7 @@ class MacroGraph:
         # (latency per class, priority per macro id, critical path) per
         # latency_extra value, filled lazily.
         self._plans: Dict[int, Tuple[List[int], List[int], int]] = {}
-
-        # Scalar-path op statistics: identical for every structure of a
-        # kernel (they depend only on the DFG), computed once here with the
-        # scheduler's exact iteration order.
-        op_counts: Dict[str, int] = {}
-        for nid in dfg.node_ids():
-            op = _node_op(dfg, nid)
-            op_counts[op] = op_counts.get(op, 0) + 1
+        #: Scalar-path op statistics, identical for every structure.
         self.op_counts = op_counts
 
     def _plan(self, latency_extra: int) -> Tuple[List[int], List[int], int]:

@@ -39,7 +39,9 @@ from repro.obs.trace import span
 logger = get_logger("accel.cache")
 
 #: Format version embedded in every entry; bump to invalidate the world.
-CACHE_VERSION: int = 1
+#: 2: traced graphs are array-backed with ids renumbered after dead-code
+#: elimination, so pickled traces and DFG fingerprints changed.
+CACHE_VERSION: int = 2
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR: str = "REPRO_CACHE_DIR"
@@ -75,15 +77,15 @@ def _digest(parts: Iterable[str]) -> str:
 
 def dfg_fingerprint(dfg: Dfg) -> str:
     """Stable hash of a DFG's structure (nodes, ops, labels, edges)."""
-    h = hashlib.sha256()
-    for nid in sorted(dfg.node_ids()):
-        node = dfg.node(nid)
-        h.update(
-            f"{nid}:{node.kind.value}:{node.op or ''}:{node.label or ''}\n".encode()
-        )
-    for src, dst in sorted(dfg.edges()):
-        h.update(f"{src}>{dst}\n".encode())
-    return h.hexdigest()
+    lines = [
+        f"{nid}:{kind.value}:{op or ''}:{label or ''}\n"
+        for nid, (kind, op, label) in enumerate(zip(dfg.kinds, dfg.ops, dfg.labels))
+    ]
+    offsets, succ = dfg.successor_lists()
+    for src in range(len(dfg)):
+        for dst in sorted(succ[offsets[src] : offsets[src + 1]]):
+            lines.append(f"{src}>{dst}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def kernel_fingerprint(kernel: TracedKernel) -> str:

@@ -20,11 +20,11 @@ Aladdin-style models.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.accel.resources import OpClass, ResourceLibrary, op_class
-from repro.dfg.analysis import topological_order
 from repro.dfg.graph import Dfg, NodeKind
 
 
@@ -44,50 +44,71 @@ class Schedule:
         return sum(self.op_counts.values())
 
 
-def _node_op(dfg: Dfg, nid: int) -> str:
-    """Operation name of a vertex; inputs are loads, outputs stores."""
-    node = dfg.node(nid)
-    if node.kind is NodeKind.INPUT:
-        return "load"
-    if node.kind is NodeKind.OUTPUT:
-        return "store"
-    return node.op
+#: Functional-unit classes in declaration order — the iteration order the
+#: scalar path's ``provisioned`` dict and leakage sum use.  Op tables hold
+#: an index into it per vertex.
+_CLASS_LIST: Tuple[OpClass, ...] = tuple(OpClass)
+_ALU = _CLASS_LIST.index(OpClass.ALU)
 
 
-def _fuse_chains(dfg: Dfg, window: int) -> Dict[int, int]:
-    """Assign each vertex to a fusion macro (macro id = chain head).
+def _op_table(dfg: Dfg) -> Tuple[List[int], Dict[str, int]]:
+    """Functional-unit class index per vertex id, and vertices per op name.
+
+    Inputs are scratchpad loads and outputs stores.  The counts are keyed
+    in order of first appearance by vertex id, the order the power model
+    sums dynamic energy in.
+    """
+    names = [
+        "load" if kind is NodeKind.INPUT else "store" if kind is NodeKind.OUTPUT else op
+        for kind, op in zip(dfg.kinds, dfg.ops)
+    ]
+    op_counts = dict(Counter(names))
+    index = {name: _CLASS_LIST.index(op_class(name)) for name in op_counts}
+    return [index[name] for name in names], op_counts
+
+
+def _vertex_ops(dfg: Dfg) -> Tuple[List[int], Dict[str, int]]:
+    """:func:`_op_table`, once per graph: every fusion window shares it."""
+    return dfg.memo("accel.op_table", _op_table)
+
+
+def _fuse_chains(dfg: Dfg, window: int) -> List[int]:
+    """Assign each vertex to a fusion macro: the chain head, per vertex id.
 
     Contracts edges ``u -> v`` where both are ALU-class compute vertices and
-    ``u`` has a single consumer, up to *window* members per chain.  Edge
-    contraction with the single-consumer condition cannot create cycles.
+    ``u`` has a single consumer, up to *window* members per chain, visiting
+    vertices in topological order.  Edge contraction with the
+    single-consumer condition cannot create cycles.
     """
-    macro_of: Dict[int, int] = {}
-    chain_len: Dict[int, int] = {}
-    for nid in topological_order(dfg):
-        macro_of.setdefault(nid, nid)
-        chain_len.setdefault(macro_of[nid], 1)
-        if window <= 1:
+    n = len(dfg)
+    if window <= 1:
+        return list(range(n))
+    classes, _ = _vertex_ops(dfg)
+    offsets, succ = dfg.successor_lists()
+    alu = _ALU
+    head = [-1] * n
+    chain_len = [0] * n
+    for nid in dfg.topological_order():
+        h = head[nid]
+        if h < 0:
+            head[nid] = h = nid
+            chain_len[nid] = 1
+        # Inputs and outputs are memory-class, so ALU means an ALU compute.
+        if classes[nid] != alu:
             continue
-        node = dfg.node(nid)
-        if node.kind is not NodeKind.COMPUTE or op_class(node.op) is not OpClass.ALU:
+        first = offsets[nid]
+        if offsets[nid + 1] - first != 1:
             continue
-        succs = dfg.successors(nid)
-        if len(succs) != 1:
+        s = succ[first]
+        if classes[s] != alu:
             continue
-        succ = succs[0]
-        succ_node = dfg.node(succ)
-        if succ_node.kind is not NodeKind.COMPUTE:
-            continue
-        if op_class(succ_node.op) is not OpClass.ALU:
-            continue
-        if succ in macro_of:
+        if head[s] >= 0:
             continue  # successor already joined another chain
-        head = macro_of[nid]
-        if chain_len[head] >= window:
+        if chain_len[h] >= window:
             continue
-        macro_of[succ] = head
-        chain_len[head] += 1
-    return macro_of
+        head[s] = h
+        chain_len[h] += 1
+    return head
 
 
 def schedule(
@@ -108,10 +129,11 @@ def schedule(
         raise ValueError(f"partition must be >= 1, got {partition}")
 
     macro_of = _fuse_chains(dfg, fusion_window)
+    classes, op_counts = _vertex_ops(dfg)
 
     # Build the macro DAG.
     members: Dict[int, List[int]] = {}
-    for nid, macro in macro_of.items():
+    for nid, macro in enumerate(macro_of):
         members.setdefault(macro, []).append(nid)
     macro_preds: Dict[int, Set[int]] = {m: set() for m in members}
     macro_succs: Dict[int, Set[int]] = {m: set() for m in members}
@@ -123,7 +145,7 @@ def schedule(
 
     def macro_class(macro: int) -> OpClass:
         # A fused chain is ALU by construction; singletons take their op's class.
-        return op_class(_node_op(dfg, macro))
+        return _CLASS_LIST[classes[macro]]
 
     def macro_latency(macro: int) -> int:
         base = library.costs(macro_class(macro)).latency_cycles
@@ -179,15 +201,10 @@ def schedule(
 
     assert len(finish_time) == len(members), "scheduler left macros unscheduled"
 
-    op_counts: Dict[str, int] = {}
-    for nid in dfg.node_ids():
-        op = _node_op(dfg, nid)
-        op_counts[op] = op_counts.get(op, 0) + 1
-
     return Schedule(
         kernel=dfg.name,
         cycles=int(makespan),
-        op_counts=op_counts,
+        op_counts=dict(op_counts),
         provisioned=provisioned,
         n_macros=len(members),
         fused_away=len(dfg) - len(members),

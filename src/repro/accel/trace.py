@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from dataclasses import dataclass
 
-from repro.dfg.graph import Dfg
+from repro.dfg.graph import Dfg, NodeKind
+from repro.dfg.transforms import dead_code_eliminate
 from repro.errors import GraphStructureError
 
 Number = Union[int, float, bool]
@@ -290,7 +291,7 @@ class Tracer:
     # -- value creation ---------------------------------------------------------
 
     def _new_input(self, label: str, concrete: Number) -> Value:
-        node_id = self.dfg.add_input(label)
+        node_id = self.dfg.append(NodeKind.INPUT, None, (), label)
         return Value(self, node_id, concrete)
 
     def _new_compute(
@@ -300,7 +301,9 @@ class Tracer:
         concrete: Number,
         label: Optional[str] = None,
     ) -> Value:
-        node_id = self.dfg.add_compute(op, [v.node_id for v in operands], label)
+        node_id = self.dfg.append(
+            NodeKind.COMPUTE, op, tuple([v.node_id for v in operands]), label
+        )
         return Value(self, node_id, concrete)
 
     def input(self, label: str, concrete: Number = 0.0) -> Value:
@@ -394,7 +397,9 @@ class Tracer:
     def output(self, value: "Value | Number", label: Optional[str] = None) -> None:
         """Mark *value* as a kernel output."""
         lifted = self.lift(value)
-        self._outputs.append(self.dfg.add_output(lifted.node_id, label))
+        self._outputs.append(
+            self.dfg.append(NodeKind.OUTPUT, None, (lifted.node_id,), label)
+        )
         self._output_values.append(lifted.concrete)
 
     def finish(self) -> Dfg:
@@ -402,17 +407,15 @@ class Tracer:
 
         Dead compute vertices (values whose results never reach an output)
         are eliminated, matching a dynamic trace of an optimised binary.
+        The surviving vertices keep their creation order, renumbered from
+        0, and the graph is validated once, here.
         """
         if not self._outputs:
             raise GraphStructureError(
                 f"{self.name}: kernel declared no outputs; call output()"
             )
-        from repro.dfg.transforms import dead_code_eliminate
-
         self._finished = True
-        cleaned = dead_code_eliminate(self.dfg)
-        cleaned.name = self.name
-        return cleaned.validate()
+        return dead_code_eliminate(self.dfg).validate()
 
     def kernel(self) -> TracedKernel:
         """Finish the trace and bundle it with the memory-access counts."""

@@ -8,7 +8,7 @@ over this representation, and their theoretical limits (Table II) are
 closed-form in DFG statistics.
 """
 
-from repro.dfg.graph import Dfg, DfgNode, NodeKind
+from repro.dfg.graph import Dfg, NodeKind
 from repro.dfg.analysis import DfgStats, analyze, critical_path, stage_levels, topological_order
 from repro.dfg.transforms import dead_code_eliminate
 from repro.dfg.complexity import (
@@ -21,7 +21,6 @@ from repro.dfg.complexity import (
 
 __all__ = [
     "Dfg",
-    "DfgNode",
     "NodeKind",
     "DfgStats",
     "analyze",

@@ -17,33 +17,34 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.dfg.graph import Dfg
-from repro.errors import GraphStructureError
 
 
 def topological_order(dfg: Dfg) -> List[int]:
-    """Kahn topological order; raises :class:`GraphStructureError` on cycles."""
-    in_degree = {nid: len(dfg.predecessors(nid)) for nid in dfg.node_ids()}
-    ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
-    order: List[int] = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
-        for succ in dfg.successors(nid):
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(dfg):
-        raise GraphStructureError(f"{dfg.name}: graph contains a cycle")
-    return order
+    """Kahn topological order; raises :class:`GraphStructureError` on cycles.
+
+    Sources are taken in id order and popped from a stack (the graph
+    computes the order once; see :meth:`Dfg.topological_order`).
+    """
+    return list(dfg.topological_order())
+
+
+def _levels(dfg: Dfg) -> List[int]:
+    """ASAP stage per vertex id, 1-based."""
+    operands = dfg.operands
+    levels = [0] * len(dfg)
+    for nid in dfg.topological_order():
+        deepest = 0
+        for p in operands[nid]:
+            if levels[p] > deepest:
+                deepest = levels[p]
+        levels[nid] = deepest + 1
+    return levels
 
 
 def stage_levels(dfg: Dfg) -> Dict[int, int]:
-    """ASAP stage per vertex, 1-based (inputs are stage 1)."""
-    levels: Dict[int, int] = {}
-    for nid in topological_order(dfg):
-        preds = dfg.predecessors(nid)
-        levels[nid] = 1 if not preds else 1 + max(levels[p] for p in preds)
-    return levels
+    """ASAP stage per vertex, 1-based (inputs are stage 1), in topological order."""
+    levels = _levels(dfg)
+    return {nid: levels[nid] for nid in dfg.topological_order()}
 
 
 def stage_working_sets(dfg: Dfg) -> Dict[int, List[int]]:
@@ -56,7 +57,7 @@ def stage_working_sets(dfg: Dfg) -> Dict[int, List[int]]:
 
 def depth(dfg: Dfg) -> int:
     """DFG depth ``D``: vertex count of the longest path."""
-    return max(stage_levels(dfg).values())
+    return max(_levels(dfg))
 
 
 def count_paths(dfg: Dfg) -> int:
@@ -65,25 +66,26 @@ def count_paths(dfg: Dfg) -> int:
     May be astronomically large for wide graphs; Python integers make the
     count exact regardless.
     """
-    paths_from: Dict[int, int] = {}
-    for nid in reversed(topological_order(dfg)):
-        succs = dfg.successors(nid)
-        if not succs:
-            paths_from[nid] = 1
-        else:
-            paths_from[nid] = sum(paths_from[s] for s in succs)
-    return sum(paths_from[nid] for nid in dfg.inputs())
+    offsets, succ = dfg.successor_lists()
+    paths = [0] * len(dfg)
+    for nid in reversed(dfg.topological_order()):
+        lo, hi = offsets[nid], offsets[nid + 1]
+        paths[nid] = sum([paths[s] for s in succ[lo:hi]]) if lo != hi else 1
+    return sum(paths[nid] for nid, preds in enumerate(dfg.operands) if not preds)
 
 
 def critical_path(dfg: Dfg) -> List[int]:
-    """One longest input→output path (vertex ids, source first)."""
-    levels = stage_levels(dfg)
-    # Walk backwards from the deepest vertex, always taking a deepest pred.
-    tail = max(levels, key=lambda nid: levels[nid])
+    """One longest input→output path (vertex ids, source first).
+
+    The tail is the first deepest vertex in topological order, and each
+    step back takes the first deepest operand.
+    """
+    levels = _levels(dfg)
+    tail = max(dfg.topological_order(), key=levels.__getitem__)
     path = [tail]
-    while dfg.predecessors(path[-1]):
-        preds = dfg.predecessors(path[-1])
-        path.append(max(preds, key=lambda p: levels[p]))
+    operands = dfg.operands
+    while operands[path[-1]]:
+        path.append(max(operands[path[-1]], key=levels.__getitem__))
     path.reverse()
     return path
 
@@ -117,12 +119,17 @@ class DfgStats:
 
 
 def analyze(dfg: Dfg) -> DfgStats:
-    """Compute all Table II-relevant statistics in one pass set."""
+    """Compute all Table II-relevant statistics from the graph's arrays.
+
+    Validates the graph unless it already passed (every traced graph did,
+    when its trace finished).
+    """
     dfg.validate()
-    working_sets = stage_working_sets(dfg)
-    stage_sizes = tuple(
-        len(working_sets[s]) for s in sorted(working_sets)
-    )
+    levels = _levels(dfg)
+    depth = max(levels)
+    stage_sizes = [0] * depth
+    for level in levels:
+        stage_sizes[level - 1] += 1
     return DfgStats(
         name=dfg.name,
         n_vertices=len(dfg),
@@ -130,8 +137,8 @@ def analyze(dfg: Dfg) -> DfgStats:
         n_inputs=len(dfg.inputs()),
         n_outputs=len(dfg.outputs()),
         n_compute=len(dfg.compute_nodes()),
-        depth=max(working_sets),
+        depth=depth,
         max_working_set=max(stage_sizes),
-        stage_sizes=stage_sizes,
+        stage_sizes=tuple(stage_sizes),
         path_count=count_paths(dfg),
     )

@@ -7,8 +7,6 @@ never mutated.
 
 from __future__ import annotations
 
-from typing import Set
-
 from repro.dfg.graph import Dfg, NodeKind
 
 
@@ -18,16 +16,15 @@ def dead_code_eliminate(dfg: Dfg) -> Dfg:
     Removes dead compute vertices *and* unused inputs, so the surviving
     graph's degree-based ``V_IN`` / ``V_OUT`` sets (paper Section V-B) stay
     meaningful: every source feeds some output, every sink is a declared
-    output.
+    output.  The live vertices are marked by backward reachability from the
+    outputs, then compacted in creation order (:meth:`Dfg.compact`).
     """
-    useful: Set[int] = set()
-    frontier = [
-        nid for nid in dfg.node_ids() if dfg.node(nid).kind is NodeKind.OUTPUT
-    ]
+    operands = dfg.operands
+    live = [False] * len(dfg)
+    frontier = [nid for nid, kind in enumerate(dfg.kinds) if kind is NodeKind.OUTPUT]
     while frontier:
         nid = frontier.pop()
-        if nid in useful:
-            continue
-        useful.add(nid)
-        frontier.extend(dfg.predecessors(nid))
-    return dfg.subgraph(useful, name=f"{dfg.name}+dce")
+        if not live[nid]:
+            live[nid] = True
+            frontier.extend(operands[nid])
+    return dfg.compact(live)

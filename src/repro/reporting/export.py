@@ -221,12 +221,13 @@ def export_all(
     :func:`artifact_registry`, so e.g. ``--only fig15_16_tfet`` works
     without ``--tech``.
 
-    *manifest* is the run's :class:`~repro.provenance.manifest.RunManifest`
-    (one is captured if not given); it is completed with the export's
-    golden numbers, metrics snapshot, and engine stats, stamped into each
-    artifact envelope, and recorded in the run *ledger* (default ledger
-    unless one is passed; recording is best-effort — an unwritable ledger
-    never fails the export).
+    *manifest* is the run's :class:`~repro.provenance.manifest.RunManifest`;
+    it is completed with the export's golden numbers, metrics snapshot, and
+    engine stats and stamped into each artifact envelope.  A manifest
+    passed in is the caller's to record (the CLI records it once, with its
+    stages).  When none is given, one is captured here and recorded in the
+    run *ledger* (default ledger unless one is passed; recording is
+    best-effort — an unwritable ledger never fails the export).
     """
     from repro.provenance.manifest import RunLedger, capture
 
@@ -242,15 +243,18 @@ def export_all(
             "no artifacts selected; valid names: "
             + ", ".join(sorted(registry))
         )
-    if manifest is None:
+    captured = manifest is None
+    if captured:
         manifest = capture("export", model=model, tech=tech)
     payloads = _build_payloads(selected, registry)
     _finish_manifest(manifest, payloads, engine)
     paths = _write_artifacts(payloads, Path(directory), manifest)
-    try:
-        (ledger if ledger is not None else RunLedger()).record(manifest)
-    except OSError as exc:
-        logger.warning(
-            "ledger.record_failed %s", kv(run_id=manifest.run_id, error=str(exc))
-        )
+    if captured:
+        try:
+            (ledger if ledger is not None else RunLedger()).record(manifest)
+        except OSError as exc:
+            logger.warning(
+                "ledger.record_failed %s",
+                kv(run_id=manifest.run_id, error=str(exc)),
+            )
     return paths

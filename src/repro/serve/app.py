@@ -54,7 +54,6 @@ from repro.obs.log import get_logger, kv, set_log_run_id
 from repro.obs.metrics import metrics
 from repro.obs.trace import (
     Tracer,
-    current_trace_id,
     get_tracer,
     new_trace_id,
     set_tracer,
@@ -66,7 +65,7 @@ from repro.provenance.manifest import read_json_object, write_json_atomic
 from repro.serve.cache import LruCache
 from repro.serve.debug import FlightRecorder
 from repro.serve.handlers import register_routes
-from repro.serve.jobs import JobQueue
+from repro.serve.jobs import DONE, Job, JobQueue
 from repro.serve.limits import InflightGate, RateLimiter
 from repro.serve.router import HttpError, Request, Response, Router
 
@@ -214,6 +213,7 @@ class ServeApp:
             worker_index=config.worker_index,
             fleet_dir=config.fleet_dir,
         )
+        self.jobs.on_settled = self._record_job
         self.limiter = RateLimiter(config.rate_limit, config.rate_burst)
         self._started = True
         logger.info(
@@ -367,34 +367,30 @@ class ServeApp:
         """Blocking job body; runs on the thread pool, engine fans out.
 
         The queue binds the job's trace id (captured at submission)
-        around this call, so the job's spans — and a flight-recorder
-        record of the job itself — join the submitting request's trace.
+        around this call, so the job's spans — and the flight-recorder
+        record :meth:`_record_job` writes when it settles — join the
+        submitting request's trace.
         """
-        start_unix = time.time()
-        start = perf_counter()
-        status = 500
-        try:
-            with span("serve.job", kind=kind):
-                result = self._run_job_body(kind, params)
-            status = 200
-            return result
-        finally:
-            trace_id = current_trace_id()
-            recorder = getattr(self, "recorder", None)
-            if trace_id is not None and recorder is not None:
-                tracer = get_tracer()
-                recorder.record(
-                    trace_id=trace_id,
-                    route=f"job.{kind}",
-                    method="JOB",
-                    path=f"/sweeps#{kind}",
-                    status=status,
-                    duration_s=perf_counter() - start,
-                    start_unix=start_unix,
-                    client="jobqueue",
-                    worker=self.config.worker_index,
-                    spans=tracer.take(trace_id) if tracer is not None else (),
-                )
+        with span("serve.job", kind=kind):
+            return self._run_job_body(kind, params)
+
+    def _record_job(self, job: Job, elapsed_s: float) -> None:
+        """The flight-recorder row of a job that ran, timed by the queue."""
+        if job.trace_id is None:
+            return
+        tracer = get_tracer()
+        self.recorder.record(
+            trace_id=job.trace_id,
+            route=f"job.{job.kind}",
+            method="JOB",
+            path=f"/sweeps#{job.kind}",
+            status=200 if job.status == DONE else 500,
+            duration_s=elapsed_s,
+            start_unix=job.started_unix,
+            client="jobqueue",
+            worker=self.config.worker_index,
+            spans=tracer.take(job.trace_id) if tracer is not None else (),
+        )
 
     def _run_job_body(self, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         if kind != "sweep":

@@ -33,6 +33,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.log import get_logger, kv
@@ -183,6 +184,10 @@ class JobQueue:
         self.jobs_dir = None if fleet_dir is None else Path(fleet_dir, "jobs")
         if self.jobs_dir is not None:
             self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        #: ``on_settled(job, elapsed_s)``, called when a job that ran
+        #: settles, with the queue's one measurement of its run (the serve
+        #: app turns it into the job's flight-recorder row).
+        self.on_settled: Optional[Callable[[Job, float], None]] = None
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: "asyncio.Queue[str]" = asyncio.Queue()
         self._workers: List[asyncio.Task] = []
@@ -312,6 +317,7 @@ class JobQueue:
                 continue
             job.status = RUNNING
             job.started_unix = time.time()
+            start = perf_counter()  # the job's one clock
             self._publish(job)
             self._running += 1
             metrics().gauge("serve.jobs.running").set(self._running)
@@ -325,13 +331,17 @@ class JobQueue:
             try:
                 result = await loop.run_in_executor(self.executor, run)
             except asyncio.CancelledError:
-                self._settle(job, FAILED, error="server shut down mid-job")
+                self._settle(
+                    job, FAILED, "server shut down mid-job", perf_counter() - start
+                )
                 raise
             except Exception as exc:  # noqa: BLE001 - job failure is data
-                self._settle(job, FAILED, error=f"{type(exc).__name__}: {exc}")
+                self._settle(
+                    job, FAILED, f"{type(exc).__name__}: {exc}", perf_counter() - start
+                )
             else:
                 job.result = result
-                self._settle(job, DONE)
+                self._settle(job, DONE, elapsed_s=perf_counter() - start)
             finally:
                 # In a finally so the CancelledError path (worker torn
                 # down mid-job) cannot leave the exported gauge stuck at
@@ -339,17 +349,38 @@ class JobQueue:
                 self._running -= 1
                 metrics().gauge("serve.jobs.running").set(self._running)
 
-    def _settle(self, job: Job, status: str, error: Optional[str] = None) -> None:
+    def _settle(
+        self,
+        job: Job,
+        status: str,
+        error: Optional[str] = None,
+        elapsed_s: Optional[float] = None,
+    ) -> None:
+        """Record *job*'s outcome; *elapsed_s* is the run time of a job that ran.
+
+        One measurement feeds the ``serve.jobs.duration_s`` histogram, the
+        ``job.settled`` log line and :attr:`on_settled`.  A job cancelled
+        before it ran logs its time since submission instead.
+        """
         job.status = status
         job.error = error
         job.finished_unix = time.time()
         metrics().counter(f"serve.jobs.{status}").inc()
-        elapsed = job.finished_unix - (job.started_unix or job.submitted_unix)
-        if job.started_unix is not None:
-            metrics().histogram("serve.jobs.duration_s").observe(elapsed)
+        if elapsed_s is not None:
+            metrics().histogram("serve.jobs.duration_s").observe(elapsed_s)
+            if self.on_settled is not None:
+                self.on_settled(job, elapsed_s)
         logger.info(
             "job.settled %s",
-            kv(job_id=job.job_id, status=status, elapsed_s=elapsed),
+            kv(
+                job_id=job.job_id,
+                status=status,
+                elapsed_s=(
+                    elapsed_s
+                    if elapsed_s is not None
+                    else job.finished_unix - job.submitted_unix
+                ),
+            ),
         )
         self._publish(job)
         self._evict()

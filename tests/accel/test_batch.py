@@ -308,10 +308,13 @@ def random_kernel(draw):
             )
         )
         available.append(g.add_compute(draw(st.sampled_from(OPS)), operands))
-    for nid in list(g.node_ids()):
-        node = g.node(nid)
-        if node.kind is NodeKind.COMPUTE and not g.successors(nid):
-            g.add_output(nid)
+    sinks = [
+        nid
+        for nid in g.node_ids()
+        if g.kind(nid) is NodeKind.COMPUTE and not g.successors(nid)
+    ]
+    for nid in sinks:
+        g.add_output(nid)
     g = dead_code_eliminate(g)
     reads = draw(st.integers(min_value=0, max_value=64))
     writes = draw(st.integers(min_value=0, max_value=64))

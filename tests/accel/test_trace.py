@@ -156,5 +156,5 @@ class TestFinish:
         live = a + t.const(1.0)
         t.output(live)
         dfg = t.finish()
-        ops = [n.op for n in dfg.nodes() if n.kind is NodeKind.COMPUTE]
+        ops = [op for kind, op in zip(dfg.kinds, dfg.ops) if kind is NodeKind.COMPUTE]
         assert ops == ["add"]

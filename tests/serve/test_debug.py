@@ -262,6 +262,29 @@ class TestDebugEndpoints:
         assert histogram.count == 1
         assert histogram.sum_s == record.duration_s
 
+    def test_job_duration_is_the_recorded_duration(
+        self, server, client, monkeypatch
+    ):
+        # One clock per job: the jobs histogram observes exactly the
+        # duration of the job's flight-recorder row.
+        registry = MetricsRegistry()
+        monkeypatch.setattr("repro.serve.jobs.metrics", lambda: registry)
+        sweep = {"workload": "TRD", "nodes": [5.0], "partitions": [1, 2],
+                 "simplifications": [1]}
+        status, payload, headers = client.post("/sweeps", sweep)
+        assert status == 202
+        job_id = payload["data"]["job"]["job_id"]
+        for _ in range(20000):  # polls, no sleeps: each answer is a round trip
+            _, payload, _ = client.get(f"/sweeps/{job_id}")
+            if payload["data"]["job"]["status"] in ("done", "failed"):
+                break
+        assert payload["data"]["job"]["status"] == "done"
+        rows = server.app.recorder.trace(headers["x-trace-id"])
+        (record,) = [row for row in rows if row.route == "job.sweep"]
+        histogram = registry.histogram("serve.jobs.duration_s")
+        assert histogram.count == 1
+        assert histogram.sum_s == record.duration_s
+
     def test_debug_trace_unknown_id_is_404(self, client):
         status, payload, _ = client.get("/debug/trace/no-such-trace")
         assert status == 404

@@ -87,6 +87,25 @@ class TestCommands:
         assert len(envelope["data"]) == 4
         assert envelope["manifest"]["command"] == "export"
 
+    def test_export_records_its_manifest_once(self, tmp_path, capsys, monkeypatch):
+        from repro.provenance.manifest import RunLedger
+
+        recorded = []
+        record = RunLedger.record
+
+        def counting_record(self, manifest):
+            recorded.append(manifest)
+            return record(self, manifest)
+
+        monkeypatch.setattr(RunLedger, "record", counting_record)
+        args = ["export", "--out", str(tmp_path / "out"), "--only", "table5"]
+        assert main(args + ["--profile"]) == 0
+        capsys.readouterr()
+        assert len(recorded) == 1
+        entry = RunLedger().get(recorded[0].run_id)
+        assert entry.stages and entry.stages[0]["stage"] == "export"
+        assert entry.golden
+
     def test_export_only_subset(self, tmp_path, capsys):
         out_dir = tmp_path / "subset"
         assert main(
