@@ -286,7 +286,6 @@ class Tracer:
         self._consts: Dict[Number, Value] = {}
         self._outputs: List[int] = []
         self._output_values: List[Number] = []
-        self._finished = False
 
     # -- value creation ---------------------------------------------------------
 
@@ -414,7 +413,10 @@ class Tracer:
             raise GraphStructureError(
                 f"{self.name}: kernel declared no outputs; call output()"
             )
-        self._finished = True
+        # Each constant Value points back at this tracer; dropping them
+        # breaks the only Tracer <-> Value cycle, so reference counting
+        # frees a finished trace without the cyclic collector.
+        self._consts.clear()
         return dead_code_eliminate(self.dfg).validate()
 
     def kernel(self) -> TracedKernel:

@@ -491,42 +491,36 @@ def _plot_body(args, run) -> int:
         print(plot_runtime_power(result.reports))
         print(f"[dse] {result.stats.describe()}")
     elif name == "fig15":
-        from repro.wall import accelerator_wall, upper_frontier
+        from repro.wall import upper_frontier
         from repro.wall.limits import _limits, domain_study
 
         tech = getattr(args, "tech", None)
-        backend = None
+        history_model = model
+        walls: Dict[str, Any] = {}
+        tag = ""
         if tech and tech != "cmos":
             from repro.tech import get_backend
+            from repro.tech.scenarios import wall_reports
 
-            backend = get_backend(tech)
+            # Scenario stance: history stays CMOS, and each wall is the
+            # backend's performance report in its fig15_16_<tech> artifact.
+            history_model = get_backend("cmos").model()
+            walls = {
+                report.domain: report
+                for report in wall_reports(tech)
+                if report.metric == "performance"
+            }
+            tag = f" [{tech}]"
         for domain in _limits():
-            row = _limits()[domain]
-            if backend is not None:
-                # Scenario stance: history stays CMOS, the limit chip is
-                # built under the selected backend.
-                history_model = CmosPotentialModel.paper()
-                report = accelerator_wall(
-                    domain,
-                    history_model,
-                    "performance",
-                    limits_row=backend.wall_limits(row),
-                    limit_model=backend.model(),
-                )
-                title = f"Fig 15: {domain} [{backend.name}]"
-            else:
-                history_model = model
-                report = accelerator_wall(domain, model)
-                title = f"Fig 15: {domain}"
-            # Reconstruct the scatter the report was fitted on.
+            # Reconstruct the scatter the wall was fitted on.
             study = domain_study(domain)
             series = study.performance_series(history_model)
             base = study.chips[0].metric(study.performance_metric)
             points = [(p.physical, p.gain * base) for p in series]
             frontier = upper_frontier(points)
-            print(plot_frontier(points, frontier, title))
-            if backend is not None:
-                print(report.describe())
+            print(plot_frontier(points, frontier, f"Fig 15: {domain}{tag}"))
+            if domain in walls:
+                print(walls[domain].describe())
             print()
     else:  # pragma: no cover - argparse choices prevent this
         raise ValueError(name)

@@ -4,15 +4,17 @@
 engine at startup, captures a run manifest into the provenance ledger,
 and then serves the paper's core queries over a small stdlib-only
 HTTP/1.1 server (``asyncio.start_server`` — no web framework, no new
-runtime deps).  Fitted models, case studies, wall reports and traced
-kernels come from the process memo (:mod:`repro.memo`): each is built on
-first use, or inherited already built from a forking supervisor.
+runtime deps).  Fitted models, case studies, wall reports, traced
+kernels, artifact payloads and ``/csr`` payloads come from the process
+memo (:mod:`repro.memo`): each is built on first use, or inherited
+already built from a forking supervisor.
 
 Request flow::
 
     connection -> parse -> rate limit -> route -> handler
                                           |          |
                                           |          +-- run_blocking (thread pool)
+                                          |          +-- memoized: process memo, miss -> run_blocking
                                           |          +-- cached: response LRU, miss -> run_blocking
                                           |          +-- JobQueue (background sweeps)
                                           +-- 429 Too Many Requests
@@ -49,7 +51,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ValidationError
-from repro.memo import memo
+from repro.memo import memo, peek
 from repro.obs.log import get_logger, kv, set_log_run_id
 from repro.obs.metrics import metrics
 from repro.obs.trace import (
@@ -171,11 +173,13 @@ class ServeApp:
             return
         from repro.accel.engine import SweepEngine
         from repro.accel.resources import ResourceLibrary
-        from repro.cmos.model import CmosPotentialModel
         from repro.provenance.manifest import SCHEMA_VERSION, RunLedger, capture
+        from repro.tech import get_backend
 
         config = self.config
-        self.model = CmosPotentialModel.paper()
+        # The process's one cmos model: payloads memoized for the whole
+        # process must not be built from per-app state.
+        self.model = get_backend("cmos").model()
         self.library = ResourceLibrary()
         self.engine = SweepEngine(
             jobs=config.jobs,
@@ -202,8 +206,7 @@ class ServeApp:
         set_log_run_id(self.manifest.run_id)
         self._batch_evaluators: Dict[str, Any] = {}
         self._evaluator_lock = threading.Lock()
-        self._artifact_cache = LruCache(64, name="artifact")
-        self._response_cache = LruCache(config.response_cache, name="response")
+        self._response_cache = LruCache(config.response_cache)
         self.gate = InflightGate(config.max_inflight)
         self.jobs = JobQueue(
             self._run_job,
@@ -311,24 +314,17 @@ class ServeApp:
                 valid_technologies=backend_names(),
             )
 
-    def tech_model(self, name: str):
-        """The fitted potential model of backend *name*."""
-        return self.tech_backend(name).model()
-
     async def artifact_payload(self, name: str) -> Any:
-        """One export artifact's payload, built lazily and LRU-cached.
+        """One export artifact's payload, built once per process.
 
         The payload goes through the same builder and ``_jsonable``
         coercion as ``repro export``, so endpoint responses are golden-
         parity with exported artifact files.  Per-technology artifacts
         (``fig15_16_tfet``, ``tech_delta_chiplet``, ...) resolve through
-        the same registry as ``export --only``.
+        the same registry as ``export --only``.  An unknown name answers
+        404 and stores nothing.
         """
         from repro.reporting.export import _jsonable, artifact_registry
-
-        hit, value = self._artifact_cache.get(name)
-        if hit:
-            return value
 
         def build() -> Any:
             builders = artifact_registry(self.model, engine=self.engine)
@@ -343,16 +339,27 @@ class ServeApp:
             with span("serve.artifact", artifact=name):
                 return _jsonable(builder())
 
-        value = await self.run_blocking(build)
-        self._artifact_cache.put(name, value)
-        return value
+        return await self.memoized(("serve.artifact", name), build)
+
+    async def memoized(self, key, build: Callable[[], Any]) -> Any:
+        """The process memo's value for *key*, a tuple of names from finite sets.
+
+        A hit answers on the event loop; a miss runs ``memo(key, build)``
+        on the thread pool.  A *build* that raises stores nothing.
+        """
+        found, value = peek(key)
+        if found:
+            return value
+        return await self.run_blocking(lambda: memo(key, build))
 
     async def cached(self, key, fn: Callable[[], Any]) -> Any:
         """The response for canonical request *key*, from the response LRU.
 
-        A miss runs blocking *fn* on the thread pool and stores its
-        result.  *fn* must be a pure function of *key*: concurrent misses
-        on one key each compute and store the same value.
+        For keys drawn from open sets (request floats); finite keys go
+        through :meth:`memoized`.  A miss runs blocking *fn* on the thread
+        pool and stores its result.  *fn* must be a pure function of
+        *key*: concurrent misses on one key each compute and store the
+        same value.
         """
         hit, value = self._response_cache.get(key)
         if hit:

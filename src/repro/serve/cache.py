@@ -1,13 +1,15 @@
 """The in-memory response cache.
 
 :class:`LruCache` is a bounded response cache keyed by the canonical
-request payload.  Repeated identical queries (the common case for a
-dashboard polling the same what-if scenario) are answered without
-touching the model at all.  It sits *over* the persistent
-:class:`repro.accel.sweep.ScheduleCache`, which still de-duplicates the
-expensive scheduling work across distinct-but-structurally-equal design
-points on a miss.  Its traffic goes to the process metrics registry
-(``serve.cache.*``).
+request payload.  It holds only answers whose keys come from open sets
+(``/evaluate`` and ``/wall/whatif`` carry request floats); answers keyed
+by names from finite sets live in the process memo (:mod:`repro.memo`).
+Repeated identical queries (the common case for a dashboard polling the
+same what-if scenario) are answered without touching the model at all.
+It sits *over* the persistent :class:`repro.accel.sweep.ScheduleCache`,
+which still de-duplicates the expensive scheduling work across
+distinct-but-structurally-equal design points on a miss.  Its traffic
+goes to the process metrics registry (``serve.cache.response.*``).
 """
 
 from __future__ import annotations
@@ -21,18 +23,15 @@ __all__ = ["LruCache"]
 
 
 class LruCache:
-    """Bounded least-recently-used map with hit/miss accounting.
+    """Bounded least-recently-used map counting hits and misses in metrics.
 
     ``capacity <= 0`` disables the cache (every lookup misses, nothing is
     stored), so one code path serves both cached and uncached modes.
     """
 
-    def __init__(self, capacity: int, name: str = "response"):
+    def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self.name = name
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: Hashable) -> Tuple[bool, Any]:
         """``(found, value)``; a hit refreshes the entry's recency."""
@@ -43,11 +42,9 @@ class LruCache:
                 pass
             else:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                metrics().counter(f"serve.cache.{self.name}.hits").inc()
+                metrics().counter("serve.cache.response.hits").inc()
                 return True, value
-        self.misses += 1
-        metrics().counter(f"serve.cache.{self.name}.misses").inc()
+        metrics().counter("serve.cache.response.misses").inc()
         return False, None
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -58,11 +55,5 @@ class LruCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.capacity > 0 and key in self._entries

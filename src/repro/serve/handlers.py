@@ -19,7 +19,7 @@ import os
 import platform
 import re
 import time
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.serve.router import HttpError, Request, Response
 from repro.serve import jobs as jobmod
@@ -27,7 +27,6 @@ from repro.serve import jobs as jobmod
 __all__ = [
     "register_routes",
     "render_prometheus",
-    "render_prometheus_multi",
 ]
 
 
@@ -86,88 +85,54 @@ def _histogram_series(entry: Mapping[str, object]) -> List[tuple]:
     return series
 
 
-def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` as Prometheus text format.
+def _labels(*pairs: str) -> str:
+    """``{a,b}`` for the non-empty label *pairs*; ``""`` when there are none."""
+    present = [pair for pair in pairs if pair]
+    return "{" + ",".join(present) + "}" if present else ""
 
-    Counters and gauges map directly; histograms become proper histogram
+
+def render_prometheus(
+    snapshots: Mapping[Optional[int], Mapping[str, Mapping[str, object]]]
+) -> str:
+    """Render :meth:`MetricsRegistry.snapshot` maps as Prometheus text format.
+
+    *snapshots* maps a fleet worker's index to that worker's snapshot, and
+    each series then carries a ``{worker="i"}`` label; a single process
+    passes ``{None: snapshot}`` and gets unlabelled series.  Each metric
+    name gets one ``TYPE`` line and one series per worker that reported
+    it.  Counters and gauges map directly; histograms become histogram
     families with cumulative ``_bucket{le="..."}`` series over the
     log-linear bucket bounds plus ``_sum`` and ``_count``.
     """
     lines: List[str] = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        kind = entry.get("type")
-        prom = _prom_name(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {int(entry.get('value', 0))}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {float(entry.get('value', 0.0)):g}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {prom} histogram")
-            for le, cumulative in _histogram_series(entry):
-                lines.append(f'{prom}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f"{prom}_sum {float(entry.get('sum', 0.0)):.9g}")
-            lines.append(f"{prom}_count {int(entry.get('count', 0))}")
-    return "\n".join(lines) + "\n"
-
-
-def render_prometheus_multi(
-    snapshots: Mapping[int, Mapping[str, Mapping[str, object]]]
-) -> str:
-    """Render per-worker snapshots with ``{worker="i"}`` series labels.
-
-    *snapshots* maps worker index to that worker's
-    :meth:`MetricsRegistry.snapshot`.  Each metric name gets one ``TYPE``
-    line and one labeled series per worker that reported it, so a single
-    ``/metrics`` scrape of any replica shows the whole fleet.
-    """
-    lines: List[str] = []
+    workers = sorted(snapshots, key=lambda worker: -1 if worker is None else worker)
     names = sorted({name for snap in snapshots.values() for name in snap})
     for name in names:
         prom = _prom_name(name)
-        kind = next(
-            snap[name].get("type")
-            for snap in snapshots.values()
-            if name in snap
-        )
-        if kind == "counter":
-            lines.append(f"# TYPE {prom} counter")
-            for worker in sorted(snapshots):
-                entry = snapshots[worker].get(name)
-                if entry is not None:
-                    lines.append(
-                        f'{prom}{{worker="{worker}"}} '
-                        f"{int(entry.get('value', 0))}"
-                    )
-        elif kind == "gauge":
-            lines.append(f"# TYPE {prom} gauge")
-            for worker in sorted(snapshots):
-                entry = snapshots[worker].get(name)
-                if entry is not None:
-                    lines.append(
-                        f'{prom}{{worker="{worker}"}} '
-                        f"{float(entry.get('value', 0.0)):g}"
-                    )
-        elif kind == "histogram":
-            lines.append(f"# TYPE {prom} histogram")
-            for worker in sorted(snapshots):
-                entry = snapshots[worker].get(name)
-                if entry is None:
-                    continue
+        entries = [
+            (worker, snapshots[worker][name])
+            for worker in workers
+            if name in snapshots[worker]
+        ]
+        kind = entries[0][1].get("type")
+        if kind not in ("counter", "gauge", "histogram"):
+            continue
+        lines.append(f"# TYPE {prom} {kind}")
+        for worker, entry in entries:
+            label = "" if worker is None else f'worker="{worker}"'
+            if kind == "counter":
+                lines.append(f"{prom}{_labels(label)} {int(entry.get('value', 0))}")
+            elif kind == "gauge":
+                value = float(entry.get("value", 0.0))
+                lines.append(f"{prom}{_labels(label)} {value:g}")
+            else:
                 for le, cumulative in _histogram_series(entry):
-                    lines.append(
-                        f'{prom}_bucket{{worker="{worker}",le="{le}"}} '
-                        f"{cumulative}"
-                    )
+                    bucket = _labels(label, f'le="{le}"')
+                    lines.append(f"{prom}_bucket{bucket} {cumulative}")
+                total = float(entry.get("sum", 0.0))
+                lines.append(f"{prom}_sum{_labels(label)} {total:.9g}")
                 lines.append(
-                    f'{prom}_sum{{worker="{worker}"}} '
-                    f"{float(entry.get('sum', 0.0)):.9g}"
-                )
-                lines.append(
-                    f'{prom}_count{{worker="{worker}"}} '
-                    f"{int(entry.get('count', 0))}"
+                    f"{prom}_count{_labels(label)} {int(entry.get('count', 0))}"
                 )
     return "\n".join(lines) + "\n"
 
@@ -175,18 +140,20 @@ def render_prometheus_multi(
 async def metrics_text(app, request: Request) -> Response:
     from repro.obs.metrics import metrics
 
-    content_type = "text/plain; version=0.0.4; charset=utf-8"
     local = metrics().snapshot()
+    snapshots: Dict[Optional[int], Mapping[str, Mapping[str, object]]]
     if app.config.fleet_dir is None:
-        # Single-process mode keeps the unlabeled format — existing
+        # Single-process mode keeps the unlabelled format: existing
         # dashboards and the CI smoke greps parse it as-is.
-        return Response.text(render_prometheus(local), content_type=content_type)
-    snapshots: Dict[int, Mapping[str, Mapping[str, object]]] = {
-        index: state["metrics"] for index, state in app.fleet_state().items()
-    }
-    snapshots[app.config.worker_index] = local
+        snapshots = {None: local}
+    else:
+        snapshots = {
+            index: state["metrics"] for index, state in app.fleet_state().items()
+        }
+        snapshots[app.config.worker_index] = local
     return Response.text(
-        render_prometheus_multi(snapshots), content_type=content_type
+        render_prometheus(snapshots),
+        content_type="text/plain; version=0.0.4; charset=utf-8",
     )
 
 
@@ -369,10 +336,12 @@ async def csr_study(app, request: Request, study: str) -> Dict[str, Any]:
     ``?tech=<backend>`` re-decomposes the series under that technology's
     potential model (the counterfactual "what if these chips had been
     built in tech T"); without it the fitted CMOS model is used and the
-    response is unchanged from earlier schema versions.
+    response is unchanged from earlier schema versions.  Each (study,
+    backend) payload is computed once per process.
     """
     obj = app.study(study)
     backend = _tech_param(app, request)
+    key = ("serve.csr", study) + (() if backend is None else backend.memo_key())
 
     def compute() -> Dict[str, Any]:
         model = app.model if backend is None else backend.model()
@@ -397,7 +366,7 @@ async def csr_study(app, request: Request, study: str) -> Dict[str, Any]:
             "summary": obj.summary(model),
         }
 
-    return await app.run_blocking(compute)
+    return await app.memoized(key, compute)
 
 
 # -- wall projections and what-if (Eqs 5-6, Table V) --------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the concolic tracer."""
 
+import gc
+import weakref
 
 import pytest
 
@@ -158,3 +160,30 @@ class TestFinish:
         dfg = t.finish()
         ops = [op for kind, op in zip(dfg.kinds, dfg.ops) if kind is NodeKind.COMPUTE]
         assert ops == ["add"]
+
+    def test_finished_tracer_is_freed_without_the_cyclic_collector(
+        self, monkeypatch
+    ):
+        from repro.workloads import WORKLOADS
+
+        tracers = []
+        finish = Tracer.finish
+
+        def recording_finish(self):
+            tracers.append(weakref.ref(self))
+            return finish(self)
+
+        monkeypatch.setattr(Tracer, "finish", recording_finish)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            kernel = WORKLOADS[0].build()
+            assert kernel.dfg.validate()
+            assert len(tracers) == 1
+            # Reference counting alone must drop the tracer and the Values
+            # that point back at it.
+            assert tracers[0]() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -20,7 +20,7 @@ from repro.serve.debug import (
     FlightRecorder,
     chrome_trace,
 )
-from repro.serve.handlers import render_prometheus, render_prometheus_multi
+from repro.serve.handlers import render_prometheus
 
 import pytest
 
@@ -163,7 +163,7 @@ class TestPrometheusHistogramRender:
     }
 
     def test_histogram_family(self):
-        text = render_prometheus(self.SNAP)
+        text = render_prometheus({None: self.SNAP})
         assert "# TYPE repro_lat_s histogram" in text
         assert 'repro_lat_s_bucket{le="+Inf"} 3' in text
         assert "repro_lat_s_count 3" in text
@@ -177,7 +177,7 @@ class TestPrometheusHistogramRender:
         assert counts == sorted(counts) and counts[-1] == 3
 
     def test_multi_worker_labels(self):
-        text = render_prometheus_multi({0: self.SNAP, 1: self.SNAP})
+        text = render_prometheus({0: self.SNAP, 1: self.SNAP})
         assert 'repro_lat_s_bucket{worker="0",le="+Inf"} 3' in text
         assert 'repro_lat_s_bucket{worker="1",le="+Inf"} 3' in text
         assert 'repro_lat_s_count{worker="1"} 3' in text

@@ -354,6 +354,98 @@ class TestQueryEndpoints:
             conn.close()
 
 
+class TestFiniteAnswersBuiltOncePerProcess:
+    """Artifact and ``/csr`` payloads come from the process memo."""
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        import repro.memo
+
+        monkeypatch.setattr(repro.memo, "_VALUES", {})
+
+    @pytest.fixture
+    def blocking_calls(self, server, monkeypatch):
+        calls = []
+        run_blocking = server.app.run_blocking
+
+        async def counting(fn):
+            calls.append(fn)
+            return await run_blocking(fn)
+
+        monkeypatch.setattr(server.app, "run_blocking", counting)
+        return calls
+
+    def test_app_model_is_the_cmos_backend_model(self, server):
+        from repro.tech import get_backend
+
+        assert server.app.model is get_backend("cmos").model()
+
+    def test_csr_series_is_computed_once_per_study_and_tech(
+        self, client, fresh_memo, monkeypatch
+    ):
+        from repro.studies.base import CaseStudy
+
+        calls = []
+        series = CaseStudy.performance_series
+
+        def counting(self, model, *args, **kwargs):
+            calls.append(self.name)
+            return series(self, model, *args, **kwargs)
+
+        monkeypatch.setattr(CaseStudy, "performance_series", counting)
+        first = client.get("/csr/bitcoin")[1]["data"]
+        per_build = len(calls)
+        assert per_build > 0
+        for target in ["/csr/bitcoin"] * 4 + ["/csr/bitcoin?tech=cmos"] * 4:
+            status, payload, _ = client.get(target)
+            assert status == 200
+            assert payload["data"] == first
+        assert len(calls) == per_build
+        for _ in range(4):
+            assert client.get("/csr/bitcoin?tech=tfet")[0] == 200
+        assert len(calls) == 2 * per_build
+
+    def test_repeated_artifact_does_not_call_its_builder(
+        self, client, fresh_memo, monkeypatch
+    ):
+        import repro.reporting.export as export
+
+        built = []
+        registry = export.artifact_registry
+
+        def counting_registry(*args, **kwargs):
+            def counted(name, builder):
+                return lambda: built.append(name) or builder()
+
+            return {
+                name: counted(name, builder)
+                for name, builder in registry(*args, **kwargs).items()
+            }
+
+        monkeypatch.setattr(export, "artifact_registry", counting_registry)
+        payloads = [client.get("/artifacts/table5")[1]["data"] for _ in range(3)]
+        assert built == ["table5"]
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_memo_hit_does_not_use_the_thread_pool(
+        self, client, fresh_memo, blocking_calls
+    ):
+        for target in ("/artifacts/table5", "/csr/video", "/wall/projections"):
+            assert client.get(target)[0] == 200
+            misses = len(blocking_calls)
+            assert misses > 0
+            assert client.get(target)[0] == 200
+            assert len(blocking_calls) == misses
+
+    def test_unknown_artifact_stores_nothing(self, client, fresh_memo):
+        from repro.memo import peek
+
+        status, payload, _ = client.get("/artifacts/fig99")
+        assert status == 404
+        assert "table5" in payload["data"]["valid_artifacts"]
+        assert peek(("serve.artifact", "fig99")) == (False, None)
+
+
 class TestBatchingEquivalence:
     """Concurrent ``/evaluate`` requests each get their own correct answer."""
 

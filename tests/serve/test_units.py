@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.metrics import Histogram
 from repro.serve.cache import LruCache
-from repro.serve.handlers import render_prometheus, render_prometheus_multi
+from repro.serve.handlers import render_prometheus
 from repro.serve.jobs import (
     CANCELLED,
     DONE,
@@ -83,7 +83,7 @@ class TestRouter:
 
 class TestLruCache:
     def test_hit_miss_and_eviction(self):
-        cache = LruCache(2, name="t")
+        cache = LruCache(2)
         assert cache.get("a") == (False, None)
         cache.put("a", 1)
         cache.put("b", 2)
@@ -94,7 +94,7 @@ class TestLruCache:
         assert cache.get("c") == (True, 3)
 
     def test_zero_capacity_disables(self):
-        cache = LruCache(0, name="t")
+        cache = LruCache(0)
         cache.put("a", 1)
         assert cache.get("a") == (False, None)
         assert len(cache) == 0
@@ -340,7 +340,7 @@ class TestPrometheusRendering:
             "serve.inflight": {"type": "gauge", "value": 2.0},
             "serve.latency_s": self._latency_entry(),
         }
-        text = render_prometheus(snapshot)
+        text = render_prometheus({None: snapshot})
         assert "# TYPE repro_serve_requests counter" in text
         assert "repro_serve_requests 7" in text
         assert "repro_serve_inflight 2" in text
@@ -350,12 +350,12 @@ class TestPrometheusRendering:
 
     def test_names_are_sanitised(self):
         text = render_prometheus(
-            {"serve.requests.cmos.gains": {"type": "counter", "value": 1}}
+            {None: {"serve.requests.cmos.gains": {"type": "counter", "value": 1}}}
         )
         assert "repro_serve_requests_cmos_gains 1" in text
 
     def test_multi_worker_rendering_labels_each_series(self):
-        text = render_prometheus_multi(
+        text = render_prometheus(
             {
                 0: {
                     "serve.requests": {"type": "counter", "value": 7},
@@ -376,6 +376,51 @@ class TestPrometheusRendering:
         assert 'repro_serve_latency_s_sum{worker="0"} 0.5' in text
         # Workers that never touched a metric contribute no series for it.
         assert 'repro_serve_inflight{worker="0"}' not in text
+
+    # Text captured from the two renderers this one replaced, for a
+    # counter, a gauge and a histogram with two buckets.
+    PINNED = {
+        "serve.requests": {"type": "counter", "value": 7},
+        "serve.inflight": {"type": "gauge", "value": 2.0},
+        "lat.s": {
+            "type": "histogram",
+            "count": 3,
+            "sum": 0.6,
+            "min": 0.1,
+            "max": 0.3,
+            "buckets": {"137": 1, "141": 2},
+        },
+    }
+
+    def test_single_process_text_is_pinned(self):
+        assert render_prometheus({None: self.PINNED}) == (
+            "# TYPE repro_lat_s histogram\n"
+            'repro_lat_s_bucket{le="0.147456"} 1\n'
+            'repro_lat_s_bucket{le="0.212992"} 3\n'
+            'repro_lat_s_bucket{le="+Inf"} 3\n'
+            "repro_lat_s_sum 0.6\n"
+            "repro_lat_s_count 3\n"
+            "# TYPE repro_serve_inflight gauge\n"
+            "repro_serve_inflight 2\n"
+            "# TYPE repro_serve_requests counter\n"
+            "repro_serve_requests 7\n"
+        )
+
+    def test_fleet_text_is_pinned(self):
+        other = {"serve.requests": {"type": "counter", "value": 5}}
+        assert render_prometheus({0: self.PINNED, 1: other}) == (
+            "# TYPE repro_lat_s histogram\n"
+            'repro_lat_s_bucket{worker="0",le="0.147456"} 1\n'
+            'repro_lat_s_bucket{worker="0",le="0.212992"} 3\n'
+            'repro_lat_s_bucket{worker="0",le="+Inf"} 3\n'
+            'repro_lat_s_sum{worker="0"} 0.6\n'
+            'repro_lat_s_count{worker="0"} 3\n'
+            "# TYPE repro_serve_inflight gauge\n"
+            'repro_serve_inflight{worker="0"} 2\n'
+            "# TYPE repro_serve_requests counter\n"
+            'repro_serve_requests{worker="0"} 7\n'
+            'repro_serve_requests{worker="1"} 5\n'
+        )
 
     def test_response_reason_phrases(self):
         assert Response.json({}, status=429).reason == "Too Many Requests"

@@ -144,9 +144,33 @@ class TestCommands:
         assert "graphene" in err and "cmos" in err
 
     def test_plot_fig15_tech(self, capsys):
-        assert main(["plot", "fig15", "--tech", "tfet"]) == 0
-        out = capsys.readouterr().out
-        assert "[tfet]" in out
+        # Each backend's plotted walls are the ones its fig15_16_<tech>
+        # artifact exports; chiplet's are the best of two envelopes.
+        from repro.reporting.export import artifact_registry
+        from repro.tech import backend_names
+
+        for tech in backend_names():
+            if tech == "cmos":
+                continue
+            assert main(["plot", "fig15", "--tech", tech]) == 0
+            out = capsys.readouterr().out
+            assert f"[{tech}]" in out
+            printed = [line for line in out.splitlines() if "headroom" in line]
+            rows = artifact_registry()[f"fig15_16_{tech}"]()
+            expected = []
+            for row in rows:
+                if row["metric"] != "performance":
+                    continue
+                low, high = row["headroom"]
+                unit = row["unit"]
+                expected.append(
+                    f"{row['domain']}/performance: best today "
+                    f"{row['current_best']:.4g} {unit}; wall at "
+                    f"{row['projected_log']:.4g} (log) .. "
+                    f"{row['projected_linear']:.4g} (linear) {unit} -> "
+                    f"{low:.2g}-{high:.2g}x headroom"
+                )
+            assert printed == expected, tech
 
 
 class TestObservability:

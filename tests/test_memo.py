@@ -5,7 +5,9 @@ from __future__ import annotations
 import sys
 import threading
 
-from repro.memo import memo
+import pytest
+
+from repro.memo import memo, peek
 
 THREADS = 8
 #: Only turns a hang into a failure; nothing here is timed.
@@ -48,3 +50,26 @@ def test_racing_builders_all_get_the_first_stored_value():
     assert results[0] in built
     assert all(result is results[0] for result in results)
     assert memo(key, build) is results[0]
+
+
+def test_peek_reads_without_building():
+    key = ("test.memo", "peek")
+
+    def build():
+        raise AssertionError("peek built a value")
+
+    assert peek(key) == (False, None)
+    assert memo(key, lambda: "value") == "value"
+    assert peek(key) == (True, "value")
+    assert memo(key, build) == "value"
+
+
+def test_a_build_that_raises_stores_nothing():
+    key = ("test.memo", "raises")
+
+    def build():
+        raise ValueError("no such name")
+
+    with pytest.raises(ValueError):
+        memo(key, build)
+    assert peek(key) == (False, None)
