@@ -216,26 +216,17 @@ def _check_relation_matrix() -> str:
 # -- wall ---------------------------------------------------------------------
 
 
-def _domain_scatter(domain: str, model):
-    from repro.wall.limits import domain_study
-
-    study = domain_study(domain)
-    series = study.performance_series(model)
-    base = study.chips[0].metric(study.performance_metric)
-    return [(p.physical, p.gain * base) for p in series]
-
-
 def _check_frontier_monotone() -> str:
     from repro.cmos.model import CmosPotentialModel
     from repro.errors import SelfCheckError as _err
     from repro.validate import require_monotone
-    from repro.wall.limits import _limits
+    from repro.wall.limits import _limits, accelerator_wall
     from repro.wall.pareto import upper_frontier
 
     model = CmosPotentialModel.paper()
     domains = 0
     for domain in _limits():
-        frontier = upper_frontier(_domain_scatter(domain, model))
+        frontier = upper_frontier(accelerator_wall(domain, model).points)
         require_monotone(
             [p[0] for p in frontier], f"{domain} frontier x", error=_err
         )
@@ -278,17 +269,16 @@ def _check_projections() -> str:
 
 def _check_predict_clamp() -> str:
     from repro.cmos.model import CmosPotentialModel
-    from repro.wall.limits import _limits
-    from repro.wall.projection import fit_projections
+    from repro.wall.limits import _limits, accelerator_wall
 
     model = CmosPotentialModel.paper()
     fits = 0
     for domain in _limits():
-        points = _domain_scatter(domain, model)
-        for fit in fit_projections(points):
-            # Querying *inside* the data range must never dip below the
-            # achieved frontier — the historical clamp bug.
-            lowest = min(x for x, _ in points)
+        report = accelerator_wall(domain, model)
+        # Querying *inside* the data range must never dip below the
+        # achieved frontier — the historical clamp bug.
+        lowest = min(x for x, _ in report.points)
+        for fit in (report.linear_fit, report.log_fit):
             _ensure(
                 fit.predict(lowest) >= fit.max_fitted_gain,
                 f"{domain}/{fit.kind.value}: predict({lowest!r}) below "

@@ -58,13 +58,8 @@ EXIT_ERROR = 2
 
 
 def _model(args) -> CmosPotentialModel:
-    tech = getattr(args, "tech", None)
-    if tech and tech != "cmos":
-        from repro.tech import get_backend
-
-        return get_backend(tech).model()
-    # The legacy path, untouched: `--tech cmos` (or no --tech) evaluates
-    # bit-identically to every release before technology backends existed.
+    """The CMOS model: refit from the bundled population with ``--refit``,
+    else the paper's.  ``--tech`` never changes it (see :func:`_plot_body`)."""
     if getattr(args, "refit", False):
         return CmosPotentialModel.reference()
     return CmosPotentialModel.paper()
@@ -464,7 +459,15 @@ def _plot_body(args, run) -> int:
         plot_runtime_power,
     )
 
-    model = _model(args)
+    tech = getattr(args, "tech", None)
+    backend = None
+    if tech and tech != "cmos":
+        from repro.tech import get_backend
+
+        backend = get_backend(tech)
+    # The only place --tech selects the model: the history plots (Figs 1,
+    # 4, 9) evaluate every measured chip under the backend's model.
+    model = backend.model() if backend is not None else _model(args)
     name = args.figure
     if name == "fig1":
         from repro.studies import bitcoin
@@ -491,36 +494,25 @@ def _plot_body(args, run) -> int:
         print(plot_runtime_power(result.reports))
         print(f"[dse] {result.stats.describe()}")
     elif name == "fig15":
-        from repro.wall import upper_frontier
-        from repro.wall.limits import _limits, domain_study
+        from repro.wall import upper_frontier, wall_report_all_domains
 
-        tech = getattr(args, "tech", None)
-        history_model = model
-        walls: Dict[str, Any] = {}
-        tag = ""
-        if tech and tech != "cmos":
-            from repro.tech import get_backend
+        if backend is not None:
             from repro.tech.scenarios import wall_reports
 
-            # Scenario stance: history stays CMOS, and each wall is the
-            # backend's performance report in its fig15_16_<tech> artifact.
-            history_model = get_backend("cmos").model()
-            walls = {
-                report.domain: report
-                for report in wall_reports(tech)
-                if report.metric == "performance"
-            }
+            # The fig15_16_<tech> walls: history stays CMOS, the limit
+            # chip is built in the backend.
+            reports = wall_reports(backend)
             tag = f" [{tech}]"
-        for domain in _limits():
-            # Reconstruct the scatter the wall was fitted on.
-            study = domain_study(domain)
-            series = study.performance_series(history_model)
-            base = study.chips[0].metric(study.performance_metric)
-            points = [(p.physical, p.gain * base) for p in series]
-            frontier = upper_frontier(points)
-            print(plot_frontier(points, frontier, f"Fig 15: {domain}{tag}"))
-            if domain in walls:
-                print(walls[domain].describe())
+        else:
+            reports = wall_report_all_domains(model)
+            tag = ""
+        for report in reports:
+            if report.metric != "performance":
+                continue
+            frontier = upper_frontier(report.points)
+            title = f"Fig 15: {report.domain}{tag}"
+            print(plot_frontier(report.points, frontier, title))
+            print(report.describe())
             print()
     else:  # pragma: no cover - argparse choices prevent this
         raise ValueError(name)

@@ -11,7 +11,7 @@ Three instrument kinds:
 * :class:`Counter` — a monotonically increasing integer.
 * :class:`Gauge` — a point-in-time float, last write wins.
 * :class:`Histogram` — a log-linear-bucket latency distribution with
-  :meth:`~Histogram.quantile` estimates, mergeable across processes.
+  :meth:`~Histogram.quantile` estimates.
   The timings that must be readable without a tracer (an engine
   operation's wall time, serve request latencies and job durations) are
   recorded in one with :meth:`Histogram.observe`, so operators see
@@ -28,11 +28,10 @@ processes' cache counters into the parent's ``engine.*`` metrics via
 whole run; the ``cache.*`` and ``batch.*`` families count only the
 calling process's own traffic (see METHODOLOGY §10).
 
-Snapshots are plain dicts, so they can be persisted as JSON and merged
-with :meth:`MetricsRegistry.absorb` (counters and histograms add; gauges
-keep the absorbed value; entries of any other kind are skipped).  A
-histogram snapshot round-trips through JSON bit-exactly: bucket counts are
-integers and the sum is a float JSON preserves.
+Snapshots are plain dicts, so they can be persisted as JSON and rendered
+later with :meth:`MetricsRegistry.render`.  A histogram snapshot
+round-trips through JSON bit-exactly: bucket counts are integers and the
+sum is a float JSON preserves.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def bucket_bounds(index: int) -> "tuple[float, float]":
 
 
 class Histogram:
-    """A mergeable latency distribution over log-linear buckets.
+    """A latency distribution over log-linear buckets.
 
     ``observe`` is O(1) and lock-cheap (a frexp, a dict increment); the
     exact min/max/sum ride along so quantile estimates can be clamped to
@@ -183,19 +182,6 @@ class Histogram:
             low = self.min_s if self.min_s is not None else 0.0
             high = self.max_s if self.max_s is not None else upper
             return min(max(upper, low), high)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold *other*'s observations into this histogram (in place)."""
-        with other._lock:
-            entry = {
-                "count": other.count,
-                "sum": other.sum_s,
-                "min": other.min_s,
-                "max": other.max_s,
-                "buckets": {str(k): v for k, v in other.buckets.items()},
-            }
-        self.absorb_entry(entry)
-        return self
 
     def absorb_entry(self, entry: Dict[str, object]) -> None:
         """Merge one snapshot entry (the JSON shape) into this histogram.
@@ -292,43 +278,6 @@ class MetricsRegistry:
             out[name] = histogram.snapshot_entry()
         return out
 
-    def absorb(self, snapshot: Dict[str, Dict[str, object]]) -> None:
-        """Merge a :meth:`snapshot` (counters/histograms add, gauges
-        overwrite).
-
-        Tolerant of snapshots written by other library versions: entries
-        with an unknown metric kind, a non-dict shape, or non-numeric
-        fields are skipped — counted in the ``metrics.absorb.skipped``
-        counter and reported once per call as a structured warning — so
-        old persisted ledgers stay readable instead of raising.
-        """
-        skipped: List[str] = []
-        for name, entry in snapshot.items():
-            kind = entry.get("type") if isinstance(entry, dict) else None
-            try:
-                if kind == "counter":
-                    self.counter(name).inc(int(entry.get("value", 0)))
-                elif kind == "gauge":
-                    self.gauge(name).set(float(entry.get("value", 0.0)))
-                elif kind == "histogram":
-                    # Validate into a scratch first so a malformed entry
-                    # doesn't leave an empty instrument behind.
-                    scratch = Histogram()
-                    scratch.absorb_entry(entry)
-                    self.histogram(name).merge(scratch)
-                else:
-                    skipped.append(name)
-            except (TypeError, ValueError):
-                skipped.append(name)
-        if skipped:
-            from repro.obs.log import get_logger, kv
-
-            self.counter("metrics.absorb.skipped").inc(len(skipped))
-            get_logger("obs.metrics").warning(
-                "metrics.absorb.skipped %s",
-                kv(count=len(skipped), names=",".join(sorted(skipped)[:8])),
-            )
-
     def render(self, snapshot: Optional[Dict[str, Dict[str, object]]] = None) -> str:
         """Human-readable table of *snapshot* (default: the live registry)."""
         snap = snapshot if snapshot is not None else self.snapshot()
@@ -354,7 +303,7 @@ class MetricsRegistry:
             elif kind in ("counter", "gauge"):
                 value = f"{entry.get('value', 0)}"
             else:
-                continue  # a kind this version does not record, as in absorb
+                continue  # a kind this version does not record
             lines.append(f"{name:<{width}}  {kind:<7}  {value}")
         return "\n".join(lines) or "(no metrics recorded)"
 

@@ -11,10 +11,10 @@ observability layer, engine/cache statistics, golden-number scalars, and
 Manifests are stamped into every exported artifact JSON (see
 :mod:`repro.reporting.export`) and persisted by the :class:`RunLedger` as
 ``<runs-dir>/<run_id>/manifest.json``.  The ledger is append-only across
-runs: a run may re-record *its own* manifest as it learns more (the CLI
-records once when artifacts are written and again with the final metrics
-snapshot), but never touches another run's entry; :meth:`RunLedger.prune`
-is the only destructive operation.
+runs: a run records its own manifest (the CLI records it once, after the
+command, with its final metrics snapshot and stages) and never touches
+another run's entry; :meth:`RunLedger.prune` is the only destructive
+operation.
 
 The runs directory resolves, in order: an explicit argument, the
 ``REPRO_RUNS_DIR`` environment variable, then ``<default-cache-dir>/runs``.
@@ -281,8 +281,9 @@ def capture(
 ) -> RunManifest:
     """Start a manifest for *command*: mint a run id, record identity.
 
-    *model* is the :class:`CmosPotentialModel` the run evaluates with
-    (default: the paper model) — only its parameter hash is recorded.
+    *model* is the run's CMOS :class:`CmosPotentialModel` (default: the
+    paper model; ``--refit`` passes the refitted one) — only its
+    parameter hash is recorded, as ``config_hashes.cmos_model``.
 
     *tech* is the technology backend the run evaluates under (default
     ``cmos``); the backend's name and its parameter content-hash are

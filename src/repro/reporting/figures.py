@@ -272,21 +272,10 @@ def fig15_16_projections(
     model: Optional[CmosPotentialModel] = None,
 ) -> List[Dict[str, object]]:
     """Figs 15-16: per-domain wall projections, both metrics."""
-    from repro.wall import wall_report_all_domains
+    from repro.wall.limits import fig15_16_row, wall_report_all_domains
 
-    return [
-        {
-            "domain": report.domain,
-            "metric": report.metric,
-            "unit": report.gain_unit,
-            "current_best": report.current_best,
-            "physical_limit": report.physical_limit,
-            "projected_log": report.projected_log,
-            "projected_linear": report.projected_linear,
-            "headroom": report.headroom,
-        }
-        for report in wall_report_all_domains(_model(model))
-    ]
+    reports = wall_report_all_domains(_model(model))
+    return [fig15_16_row(report) for report in reports]
 
 
 def fig15_16_tech_projections(tech: str) -> List[Dict[str, object]]:

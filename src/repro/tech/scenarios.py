@@ -30,7 +30,13 @@ from repro.errors import ProjectionError
 from repro.memo import memo
 from repro.tech.base import TechBackend, get_backend
 from repro.tech.carbon import CarbonParams, backend_carbon
-from repro.wall.limits import WallReport, _limits, accelerator_wall, domain_study
+from repro.wall.limits import (
+    WallReport,
+    _limits,
+    accelerator_wall,
+    domain_study,
+    fig15_16_row,
+)
 # The pace estimator is shared with `repro wall --whatif`; a private
 # import keeps one definition of "historical annual gain rate".
 from repro.wall.whatif import _annual_gain_rate
@@ -94,19 +100,7 @@ def _build_wall_reports(backend: TechBackend) -> Tuple[WallReport, ...]:
 
 def wall_projection_rows(tech: Union[str, TechBackend]) -> List[Dict[str, object]]:
     """Per-tech Figs 15-16 rows (same shape as the ``fig15_16`` artifact)."""
-    return [
-        {
-            "domain": report.domain,
-            "metric": report.metric,
-            "unit": report.gain_unit,
-            "current_best": report.current_best,
-            "physical_limit": report.physical_limit,
-            "projected_log": report.projected_log,
-            "projected_linear": report.projected_linear,
-            "headroom": report.headroom,
-        }
-        for report in wall_reports(tech)
-    ]
+    return [fig15_16_row(report) for report in wall_reports(tech)]
 
 
 def table5_rows(tech: Union[str, TechBackend]) -> List[Dict[str, object]]:
@@ -149,19 +143,14 @@ def carbon_rows(
     tech: Union[str, TechBackend],
     params: CarbonParams = CarbonParams(),
 ) -> Dict[str, Dict[str, float]]:
-    """Carbon overlay for each domain's limit chip built in *tech*."""
+    """Carbon overlay for each domain's performance limit chip built in
+    *tech*, priced on the backend's ``wall_limits`` envelope."""
     backend = _backend(tech)
     model = backend.model()
     out: Dict[str, Dict[str, float]] = {}
     for domain, row in _limits().items():
         effective = backend.wall_limits(row)
-        gains = model.evaluate(
-            FINAL_NODE,
-            effective.frequency_mhz,
-            area_mm2=effective.max_die_mm2,
-            tdp_w=effective.tdp_w if effective.limit_cap is not None else None,
-            cap_mode=effective.limit_cap or "analytic",
-        )
+        gains = effective.limit_chip(model, "performance")
         report = backend_carbon(
             backend, FINAL_NODE, effective.max_die_mm2, gains.power_w, params
         )

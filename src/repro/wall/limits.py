@@ -10,9 +10,10 @@ remaining headroom over today's best chip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cmos.gains import ChipGains
 from repro.cmos.model import CmosPotentialModel
 from repro.cmos.nodes import FINAL_NODE
 from repro.datasheets.schema import Category
@@ -39,6 +40,45 @@ class DomainLimits:
     #: "analytic" (Fig 3d device-power model) or "empirical" (Fig 3c
     #: per-era budget fits, the paper's quoted mechanism).
     limit_cap: Optional[str] = "empirical"
+
+    def scaled(
+        self, die: float = 1.0, tdp: float = 1.0, frequency: float = 1.0
+    ) -> "DomainLimits":
+        """This envelope with both die bounds, the TDP budget and the clock
+        multiplied by *die*, *tdp* and *frequency* (a what-if point).
+
+        Scaling both dies keeps the die each wall metric selects.
+        """
+        return replace(
+            self,
+            min_die_mm2=self.min_die_mm2 * die,
+            max_die_mm2=self.max_die_mm2 * die,
+            tdp_w=self.tdp_w * tdp,
+            frequency_mhz=self.frequency_mhz * frequency,
+        )
+
+    def limit_chip(
+        self, model: CmosPotentialModel, metric: str = "performance"
+    ) -> ChipGains:
+        """The best chip this envelope allows at the final node, under *model*.
+
+        Performance limits use the largest die and energy-efficiency limits
+        the smallest (the Section III insight that small chips favour
+        efficiency); ``limit_cap`` says how the TDP budget caps the chip.
+        """
+        if metric == "performance":
+            die = self.max_die_mm2
+        elif metric == "efficiency":
+            die = self.min_die_mm2
+        else:
+            raise ProjectionError(f"unknown wall metric {metric!r}")
+        return model.evaluate(
+            FINAL_NODE,
+            self.frequency_mhz,
+            area_mm2=die,
+            tdp_w=self.tdp_w if self.limit_cap is not None else None,
+            cap_mode=self.limit_cap or "analytic",
+        )
 
 
 def _table5() -> Tuple[DomainLimits, ...]:
@@ -112,6 +152,17 @@ def _limits() -> Dict[str, DomainLimits]:
     return DOMAIN_LIMITS
 
 
+def domain_limits(domain: str) -> DomainLimits:
+    """The Table V row of *domain*; :class:`ProjectionError` if unknown."""
+    limits = _limits()
+    try:
+        return limits[domain]
+    except KeyError:
+        raise ProjectionError(
+            f"unknown domain {domain!r}; known: {sorted(limits)}"
+        ) from None
+
+
 def domain_study(domain: str) -> CaseStudy:
     """The Table V case study of *domain*, built once per process.
 
@@ -133,6 +184,9 @@ class WallReport:
     physical_limit: float  # physical capability at 5nm, baseline-normalised
     linear_fit: FrontierFit
     log_fit: FrontierFit
+    #: The (physical capability, gain in gain_unit) scatter both fits and
+    #: ``current_best`` come from.
+    points: Tuple[Tuple[float, float], ...]
 
     @property
     def projected_linear(self) -> float:
@@ -170,29 +224,22 @@ def accelerator_wall(
 ) -> WallReport:
     """Project the accelerator wall for one domain (Figs 15-16).
 
-    *metric* is ``"performance"`` or ``"efficiency"``.  Performance limits
-    use the domain's largest die; energy-efficiency limits use the smallest
-    (the Section III insight that small chips favour efficiency).
+    *metric* is ``"performance"`` or ``"efficiency"``; the physical limit
+    is :meth:`DomainLimits.limit_chip` over the baseline chip.
 
     *limits_row* replaces the Table V envelope for the limit-chip
-    evaluation (technology backends use this to, e.g., lift the die-size
-    ceiling for chiplet disaggregation or derate the clock for TFETs);
-    the historical scatter and its frontier fits always come from the
-    measured chips and are unaffected.
+    evaluation: a technology backend's envelope (e.g. chiplet's lifted
+    die ceiling or a TFET's derated clock) or a
+    :meth:`DomainLimits.scaled` what-if point.  The historical scatter and
+    its frontier fits always come from the measured chips and are
+    unaffected.
 
     *limit_model* evaluates the limit chip under a different potential
     model than the historical baseline — the "what if the wall chip used
     technology T while history stays CMOS" question asked by
-    :mod:`repro.tech.scenarios` (the same perturb-only-the-limit pattern
-    as :mod:`repro.wall.sensitivity`).
+    :mod:`repro.tech.scenarios`.
     """
-    limits = _limits()
-    try:
-        row = limits[domain]
-    except KeyError:
-        raise ProjectionError(
-            f"unknown domain {domain!r}; known: {sorted(limits)}"
-        ) from None
+    row = domain_limits(domain)
     if limits_row is not None:
         if limits_row.domain != domain:
             raise ProjectionError(
@@ -207,27 +254,19 @@ def accelerator_wall(
         series = study.performance_series(cmos)
         physical_metric = study.physical_performance_metric
         measured_metric = study.performance_metric
-        die = row.max_die_mm2
     elif metric == "efficiency":
         series = study.efficiency_series(cmos)
         physical_metric = "energy_efficiency"
         measured_metric = study.efficiency_metric
-        die = row.min_die_mm2
     else:
         raise ProjectionError(f"unknown wall metric {metric!r}")
 
     base_chip = study.chips[0]
     base_measured = base_chip.metric(measured_metric)
-    # (physical capability, gain in measured units) scatter.
-    points = [(p.physical, p.gain * base_measured) for p in series]
+    points = tuple((p.physical, p.gain * base_measured) for p in series)
 
-    limit_cmos = limit_model if limit_model is not None else cmos
-    limit_gains = limit_cmos.evaluate(
-        FINAL_NODE,
-        row.frequency_mhz,
-        area_mm2=die,
-        tdp_w=row.tdp_w if row.limit_cap is not None else None,
-        cap_mode=row.limit_cap or "analytic",
+    limit_gains = row.limit_chip(
+        limit_model if limit_model is not None else cmos, metric
     )
     base_gains = cmos.evaluate_spec(base_chip.spec, capped=study.capped).gains
     physical_limit = limit_gains.metric(physical_metric) / base_gains.metric(
@@ -243,24 +282,31 @@ def accelerator_wall(
         physical_limit=physical_limit,
         linear_fit=linear_fit,
         log_fit=log_fit,
+        points=points,
     )
+
+
+def fig15_16_row(report: WallReport) -> Dict[str, object]:
+    """One row of the ``fig15_16`` and ``fig15_16_<tech>`` artifacts."""
+    return {
+        "domain": report.domain,
+        "metric": report.metric,
+        "unit": report.gain_unit,
+        "current_best": report.current_best,
+        "physical_limit": report.physical_limit,
+        "projected_log": report.projected_log,
+        "projected_linear": report.projected_linear,
+        "headroom": report.headroom,
+    }
 
 
 def wall_report_all_domains(
     model: Optional[CmosPotentialModel] = None,
-    limits_overrides: Optional[Dict[str, DomainLimits]] = None,
 ) -> List[WallReport]:
-    """Figs 15 + 16: both metrics for all four Table V domains.
-
-    *limits_overrides* maps domain name to a replacement Table V row for
-    the limit-chip evaluation (see :func:`accelerator_wall`).
-    """
+    """Figs 15 + 16: both metrics for all four Table V domains."""
     cmos = model if model is not None else CmosPotentialModel.paper()
-    overrides = limits_overrides or {}
-    reports = []
-    for domain in _limits():
-        for metric in ("performance", "efficiency"):
-            reports.append(
-                accelerator_wall(domain, cmos, metric, overrides.get(domain))
-            )
-    return reports
+    return [
+        accelerator_wall(domain, cmos, metric)
+        for domain in _limits()
+        for metric in ("performance", "efficiency")
+    ]

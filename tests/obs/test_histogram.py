@@ -1,11 +1,10 @@
-"""Histogram semantics: bucketing, quantiles, merge algebra, concurrency.
+"""Histogram semantics: bucketing, quantiles, snapshots, concurrency.
 
-The hypothesis properties pin the contracts the serving fleet relies on:
-merging per-worker histograms must be order-independent (any worker's
-``/metrics`` scrape may absorb peers in any order), bucket counts must
-account for every observation, quantile estimates must bracket the true
-quantile within one log-linear bucket width, and a snapshot must survive
-JSON (the format workers publish to the fleet directory) bit-exactly.
+The hypothesis properties pin the contracts operators rely on: bucket
+counts must account for every observation, quantile estimates must
+bracket the true quantile within one log-linear bucket width, and a
+snapshot must survive JSON (the format workers publish to the fleet
+directory and ``repro stats`` reads back) bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,11 +37,6 @@ def hist_of(observations) -> Histogram:
     for v in observations:
         h.observe(v)
     return h
-
-
-def discrete_state(h: Histogram):
-    """Everything but the float sum (whose value depends on add order)."""
-    return (h.count, h.min_s, h.max_s, dict(h.buckets))
 
 
 class TestBuckets:
@@ -108,27 +101,7 @@ class TestQuantile:
 
 
 class TestMergeAlgebra:
-    @given(value_lists, value_lists)
-    def test_merge_is_commutative(self, a, b):
-        left = hist_of(a).merge(hist_of(b))
-        right = hist_of(b).merge(hist_of(a))
-        assert discrete_state(left) == discrete_state(right)
-        assert left.sum_s == pytest.approx(right.sum_s, rel=1e-9, abs=1e-12)
-
-    @given(value_lists, value_lists, value_lists)
-    def test_merge_is_associative(self, a, b, c):
-        left = hist_of(a).merge(hist_of(b)).merge(hist_of(c))
-        inner = hist_of(b).merge(hist_of(c))
-        right = hist_of(a).merge(inner)
-        assert discrete_state(left) == discrete_state(right)
-        assert left.sum_s == pytest.approx(right.sum_s, rel=1e-9, abs=1e-12)
-
-    @given(value_lists, value_lists)
-    def test_merge_equals_observing_everything(self, a, b):
-        merged = hist_of(a).merge(hist_of(b))
-        direct = hist_of(a + b)
-        assert discrete_state(merged) == discrete_state(direct)
-        assert merged.sum_s == pytest.approx(direct.sum_s, rel=1e-9, abs=1e-12)
+    """A snapshot entry merges back into a histogram through ``absorb_entry``."""
 
     @given(value_lists)
     @settings(max_examples=50)
@@ -142,18 +115,6 @@ class TestMergeAlgebra:
         # including the float sum (json round-trips float repr exactly).
         assert restored.snapshot_entry() == entry
         assert restored.sum_s == h.sum_s
-
-    @given(value_lists, value_lists)
-    def test_registry_absorb_matches_merge(self, a, b):
-        source = MetricsRegistry()
-        for v in a:
-            source.histogram("lat").observe(v)
-        target = MetricsRegistry()
-        for v in b:
-            target.histogram("lat").observe(v)
-        target.absorb(json.loads(json.dumps(source.snapshot())))
-        expected = hist_of(b).merge(hist_of(a))
-        assert discrete_state(target.histogram("lat")) == discrete_state(expected)
 
 
 class TestConcurrentMutation:

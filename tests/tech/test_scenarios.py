@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.tech import backend_names
+from repro.tech import backend_names, get_backend
 from repro.tech.scenarios import (
     WALL_METRICS,
     carbon_rows,
@@ -111,6 +111,18 @@ class TestScenarioPayload:
                 assert set(point) == {
                     "name", "node_nm", "year", "gain", "physical", "csr"
                 }
+
+    @pytest.mark.parametrize("tech", ("cmos",) + NON_CMOS)
+    def test_carbon_prices_the_performance_limit_chip(self, tech):
+        # Carbon and the wall share one limit chip, on the backend's
+        # wall_limits envelope.
+        backend = get_backend(tech)
+        for domain, row in carbon_rows(tech).items():
+            effective = backend.wall_limits(_limits()[domain])
+            chip = effective.limit_chip(backend.model(), "performance")
+            assert row["throughput"] == chip.throughput
+            assert row["power_w"] == chip.power_w
+            assert row["area_mm2"] == effective.max_die_mm2
 
     @pytest.mark.parametrize("tech", ("cmos",) + NON_CMOS)
     def test_carbon_rows_physical(self, tech):

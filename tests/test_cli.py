@@ -143,20 +143,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "graphene" in err and "cmos" in err
 
+    def test_export_tech_keeps_the_base_artifacts_cmos(self, tmp_path, capsys):
+        # --tech selects the default artifact names only: a base artifact
+        # named with --only is the plain export's, whatever the backend.
+        only = ["--only", "fig15_16,fig1"]
+        assert main(["export", "--out", str(tmp_path / "plain")] + only) == 0
+        assert main(
+            ["export", "--out", str(tmp_path / "finfet"), "--tech", "finfet"]
+            + only
+        ) == 0
+        capsys.readouterr()
+        for name in ("fig15_16", "fig1"):
+            plain, finfet = (
+                json.loads((tmp_path / run / f"{name}.json").read_text())["data"]
+                for run in ("plain", "finfet")
+            )
+            assert finfet == plain, name
+
     def test_plot_fig15_tech(self, capsys):
-        # Each backend's plotted walls are the ones its fig15_16_<tech>
-        # artifact exports; chiplet's are the best of two envelopes.
+        # Each backend's plotted walls are the ones its Figs 15-16 artifact
+        # exports (fig15_16 for cmos); chiplet's are the best of two
+        # envelopes.
         from repro.reporting.export import artifact_registry
         from repro.tech import backend_names
 
         for tech in backend_names():
-            if tech == "cmos":
-                continue
             assert main(["plot", "fig15", "--tech", tech]) == 0
             out = capsys.readouterr().out
-            assert f"[{tech}]" in out
+            if tech != "cmos":
+                assert f"[{tech}]" in out
             printed = [line for line in out.splitlines() if "headroom" in line]
-            rows = artifact_registry()[f"fig15_16_{tech}"]()
+            artifact = "fig15_16" if tech == "cmos" else f"fig15_16_{tech}"
+            rows = artifact_registry()[artifact]()
             expected = []
             for row in rows:
                 if row["metric"] != "performance":

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.wall.limits import _limits, accelerator_wall
 from repro.wall.sensitivity import headroom_spread, wall_sensitivity
 
 
@@ -21,15 +22,12 @@ class TestSensitivity:
         assert len(sweep) == 9
 
     def test_unperturbed_point_matches_wall_report(self, sweep, paper_model):
-        from repro.wall import accelerator_wall
-
         nominal = next(
             p for p in sweep if p.die_scale == 1.0 and p.tdp_scale == 1.0
         )
         report = accelerator_wall("convolutional_nn", paper_model)
-        low, high = report.headroom
-        assert nominal.headroom_low == pytest.approx(low)
-        assert nominal.headroom_high == pytest.approx(high)
+        assert nominal.physical_limit == report.physical_limit
+        assert (nominal.headroom_low, nominal.headroom_high) == report.headroom
 
     def test_bigger_die_never_reduces_physical_limit(self, sweep):
         by_scale = {}
@@ -68,3 +66,28 @@ class TestSensitivity:
             frequency_scales=(0.8, 1.0, 1.2),
         )
         assert len(points) == 3
+
+
+@pytest.mark.parametrize("metric", ("performance", "efficiency"))
+@pytest.mark.parametrize("domain", sorted(_limits()))
+def test_point_is_the_wall_of_the_scaled_row(domain, metric, paper_model):
+    # The what-if grid the serve_model benchmark draws: 4 die x 3 TDP x 3
+    # clock scales, 288 keys over the 8 (domain, metric) pairs.
+    die_scales, tdp_scales, frequency_scales = (
+        (0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0), (0.75, 1.0, 1.5)
+    )
+    points = wall_sensitivity(
+        domain, paper_model, metric=metric, die_scales=die_scales,
+        tdp_scales=tdp_scales, frequency_scales=frequency_scales,
+    )
+    assert len(points) == 36
+    row = _limits()[domain]
+    for point in points:
+        report = accelerator_wall(
+            domain, paper_model, metric,
+            limits_row=row.scaled(
+                point.die_scale, point.tdp_scale, point.frequency_scale
+            ),
+        )
+        assert point.physical_limit == report.physical_limit
+        assert (point.headroom_low, point.headroom_high) == report.headroom
