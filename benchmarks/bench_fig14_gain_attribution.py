@@ -79,8 +79,9 @@ def test_fig14b_energy_efficiency(benchmark, engine):
     emit("Fig 14b: energy-efficiency gain attribution", _render(rows))
     stats = engine.last_stats
     emit("Fig 14b engine stats", stats.describe())
-    # 14a populated the schedule cache; 14b's structural grid is identical,
-    # so the warm pass must hit it.
+    # 14a stored every structure it scheduled.  The two metrics' pruned
+    # searches schedule different subsets of the grid, but both evaluate
+    # the same 45nm baseline, so the warm pass must hit the store.
     assert stats.cache_hits > 0
     cmos_dominant = sum(
         1

@@ -18,20 +18,25 @@ CMOS-dependent by definition; partitioning is CMOS-dependent too because the
 replicated lanes are paid for with transistors (the paper's stated reason
 Fig 14 CSR is low).
 
-Every evaluation — the 45nm baseline, the best-design grid and the four
-ablations — runs through :class:`repro.accel.batch.BatchEvaluator` over one
-shared :class:`~repro.accel.sweep.ScheduleCache`: the grid is one batched
-call, the baseline and ablations another, so each unique structure is
-scheduled once on the fused macro DAG and the power model is a numpy
-broadcast.  Results are bit-identical to the per-point scalar oracle
-(see :mod:`repro.accel.batch`), which only tests, benchmarks and ``repro
-check`` run.
+Every evaluation — the best-design search, the 45nm baseline and the four
+ablations — runs through one :class:`repro.accel.batch.BatchEvaluator`
+over one shared :class:`~repro.accel.sweep.ScheduleCache`, so each window's
+macro DAG is built once, each unique structure is scheduled at most once,
+and the power model is a numpy broadcast.  The search first prices the
+whole grid at each structure's critical path
+(:meth:`~repro.accel.batch.BatchEvaluator.bound`, no scheduling), then
+evaluates exactly, group by group of equal bound, only the points that
+can still beat or tie the best found; the baseline and ablations are one
+more batched call.  Results are bit-identical to the per-point scalar
+oracle (see :mod:`repro.accel.batch`), which only tests, benchmarks and
+``repro check`` run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accel.batch import BatchEvaluator
@@ -40,6 +45,7 @@ from repro.accel.power import PowerReport
 from repro.accel.resources import ResourceLibrary
 from repro.accel.sweep import ScheduleCache, default_design_grid
 from repro.accel.trace import TracedKernel
+from repro.errors import ValidationError
 from repro.obs.log import get_logger, kv
 from repro.obs.trace import span
 
@@ -91,6 +97,52 @@ def _metric(report: PowerReport, metric: str) -> float:
     raise ValueError(f"unknown attribution metric {metric!r}")
 
 
+def _best_report(
+    batch: BatchEvaluator,
+    metric: str,
+    node_nm: float,
+    partitions: Optional[Sequence[int]],
+    simplifications: Optional[Sequence[int]],
+) -> PowerReport:
+    """The first grid point at *node_nm* with the greatest *metric*.
+
+    Each point's :meth:`BatchEvaluator.bound` metric is an upper bound of
+    its exact metric, float for float.  Points are visited in ``(-bound,
+    grid index)`` order, one group of equal bound per
+    :meth:`BatchEvaluator.evaluate` call, and a point is evaluated only
+    while its bound beats the best value found, or ties it at a smaller
+    grid index.  The first group with no such point ends the scan: every
+    later point has a bound no greater and, at an equal bound, a larger
+    index.  So the answer is the full scan's, and the structures that
+    cannot win are never scheduled.
+    """
+    grid = default_design_grid(
+        nodes=[node_nm],
+        partitions=partitions,
+        simplifications=simplifications,
+        heterogeneity=True,
+    )
+    if not grid:
+        raise ValidationError("the best-design search needs a non-empty grid")
+    bounds = [_metric(report, metric) for report in batch.bound(grid).reports()]
+    order = sorted(range(len(grid)), key=lambda i: (-bounds[i], i))
+    best_index, best_value, best = len(grid), -math.inf, None
+    for bound, members in groupby(order, key=bounds.__getitem__):
+        group = [
+            i
+            for i in members
+            if bound > best_value or (bound == best_value and i < best_index)
+        ]
+        if not group:
+            break
+        reports = batch.evaluate([grid[i] for i in group]).reports()
+        for i, report in zip(group, reports):
+            value = _metric(report, metric)
+            if value > best_value or (value == best_value and i < best_index):
+                best_index, best_value, best = i, value, report
+    return best
+
+
 def find_best_design(
     kernel: TracedKernel,
     metric: str,
@@ -102,28 +154,22 @@ def find_best_design(
 ) -> Tuple[DesignPoint, PowerReport]:
     """Grid-search the best design for *metric* at *node_nm*.
 
-    The whole grid evaluates in one :meth:`BatchEvaluator.evaluate` call;
-    the first design in grid order with the greatest *metric* wins.
-    *cache* lets callers share one (possibly persistent-backed)
-    :class:`ScheduleCache` across the search and later ablations; it
-    carries its own library, and a different *library* beside it is a
-    ``ValueError``.
+    The first design in grid order with the greatest *metric* wins, as in
+    a full scan, but only the points whose critical-path bound can still
+    win are scheduled (:func:`_best_report`).  An empty grid is a
+    :class:`~repro.errors.ValidationError`.  *cache* lets callers share
+    one (possibly persistent-backed) :class:`ScheduleCache` across the
+    search and later ablations; it carries its own library, and a
+    different *library* beside it is a ``ValueError``.
     """
-    grid = default_design_grid(
-        nodes=[node_nm],
-        partitions=partitions,
-        simplifications=simplifications,
-        heterogeneity=True,
+    report = _best_report(
+        BatchEvaluator(kernel, library, cache),
+        metric,
+        node_nm,
+        partitions,
+        simplifications,
     )
-    best_report = None
-    best_value = -math.inf
-    for report in BatchEvaluator(kernel, library, cache).evaluate(grid).reports():
-        value = _metric(report, metric)
-        if value > best_value:
-            best_value = value
-            best_report = report
-    assert best_report is not None
-    return best_report.design, best_report
+    return report.design, report
 
 
 def attribute_gains(
@@ -139,21 +185,18 @@ def attribute_gains(
     """Compute the Fig 14 attribution for one kernel.
 
     *partitions*/*simplifications* default to the full Table III ranges;
-    tests pass reduced ranges for speed.  *cache* (optionally backed by the
-    persistent store) is shared by the best-design search and one batched
-    evaluation of the baseline and the four ablations, so every design
-    point is one memo lookup; by default a fresh in-memory one is used.
+    tests pass reduced ranges for speed.  One :class:`BatchEvaluator` over
+    *cache* (optionally backed by the persistent store) runs the pruned
+    best-design search and one batched evaluation of the baseline and the
+    four ablations, so every point evaluated exactly is one memo lookup;
+    by default a fresh in-memory cache is used.
     """
     batch = BatchEvaluator(kernel, library, cache)
     with span("attribute", kernel=kernel.name, metric=metric):
-        best_design, best_report = find_best_design(
-            kernel,
-            metric,
-            node_nm,
-            partitions=partitions,
-            simplifications=simplifications,
-            cache=batch.cache,
+        best_report = _best_report(
+            batch, metric, node_nm, partitions, simplifications
         )
+        best_design = best_report.design
         best_value = _metric(best_report, metric)
 
         base_design = baseline_design(baseline_node_nm)

@@ -26,7 +26,10 @@ This module evaluates the same grid as array math in three stages:
    functional-unit class fully provisioned) skip the event loop entirely:
    the makespan is the critical path.  Schedules still flow through the
    shared :class:`~repro.accel.sweep.ScheduleCache`, so the in-memory memo
-   and the persistent on-disk store keep working unchanged.
+   and the persistent on-disk store keep working unchanged.  The critical
+   path also prices a point without scheduling it
+   (:meth:`BatchEvaluator.bound`): an upper bound of both Fig 14 metrics,
+   which the best-design search prunes its grid with.
 
 3. **Broadcast power evaluation** — per-node/per-degree clock, energy- and
    leakage-scale factors are precomputed from :class:`ResourceLibrary`
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +69,10 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import span
 
 __all__ = ["BatchEvaluator", "BatchResult", "MacroGraph"]
+
+#: (cycles, total_ops, base_dynamic_nj, units per class) of one structure.
+_StructureRow = Tuple[int, int, float, List[int]]
+
 
 class MacroGraph:
     """Fusion-contracted macro DAG of one kernel at one fusion window.
@@ -182,6 +189,14 @@ class MacroGraph:
         plan = (latency, priority, critical)
         self._plans[latency_extra] = plan
         return plan
+
+    def critical_path(self, latency_extra: int = 0) -> int:
+        """Longest latency path through the macro DAG at *latency_extra*.
+
+        No schedule of any partition is shorter; at or past
+        :attr:`saturation` the schedule equals it.
+        """
+        return self._plan(latency_extra)[2]
 
     def _provisioned(self, partition: int) -> Dict[OpClass, int]:
         provisioned: Dict[OpClass, int] = {}
@@ -363,7 +378,10 @@ class BatchEvaluator:
     the other points of the same structure are recorded as memo hits
     (:meth:`ScheduleCache.record_coalesced`), so ``memo_hits +
     memo_misses`` still equals the number of design points and stats stay
-    comparable with the scalar path.
+    comparable with the scalar path.  :meth:`bound` prices points without
+    scheduling them and counts nothing, so the pruned Fig 14 search
+    (:func:`repro.accel.attribution.find_best_design`) counts only the
+    points it evaluates exactly.
     """
 
     def __init__(
@@ -396,7 +414,7 @@ class BatchEvaluator:
             self.library.costs(klass).leakage_w_per_unit for klass in _CLASS_LIST
         ]
         # Per-structure scalars derived from resolved Schedules.
-        self._struct_rows: Dict[Tuple[int, int, int], Tuple[int, int, float, List[int]]] = {}
+        self._struct_rows: Dict[Tuple[int, int, int], _StructureRow] = {}
 
     def macro_graph(self, fusion_window: int) -> MacroGraph:
         graph = self._graphs.get(fusion_window)
@@ -407,11 +425,11 @@ class BatchEvaluator:
 
     # -- per-structure scalars -------------------------------------------------
 
-    def _base_dynamic_nj(self, sched: Schedule) -> float:
+    def _base_dynamic_nj(self, op_counts: Dict[str, int]) -> float:
         """Pre-scale dynamic energy, in the scalar path's summation order."""
         table = self.library.op_energy_table()
         dynamic_nj = 0.0
-        for op, count in sched.op_counts.items():
+        for op, count in op_counts.items():
             if op in ("load", "store"):
                 continue  # charged via access counts below
             energy = table.get(op)
@@ -425,9 +443,7 @@ class BatchEvaluator:
         )
         return dynamic_nj
 
-    def _structure_row(
-        self, key: Tuple[int, int, int]
-    ) -> Tuple[int, int, float, List[int]]:
+    def _structure_row(self, key: Tuple[int, int, int]) -> _StructureRow:
         """(cycles, total_ops, base_dynamic_nj, units-per-class) of *key*."""
         row = self._struct_rows.get(key)
         if row is not None:
@@ -444,11 +460,120 @@ class BatchEvaluator:
         units = [0] * len(_CLASS_LIST)
         for i, klass in enumerate(_CLASS_LIST):
             units[i] = sched.provisioned.get(klass, 0)
-        row = (sched.cycles, sched.total_ops, self._base_dynamic_nj(sched), units)
+        row = (
+            sched.cycles,
+            sched.total_ops,
+            self._base_dynamic_nj(sched.op_counts),
+            units,
+        )
         self._struct_rows[key] = row
         return row
 
+    def _bound_row(self, key: Tuple[int, int, int]) -> _StructureRow:
+        """:meth:`_structure_row` of *key* with the critical path as cycles.
+
+        Every other field equals the scheduled row's: the op counts do not
+        depend on the structure, and a class is provisioned
+        ``min(partition, demand)`` units whatever the schedule.
+        """
+        partition, window, extra = key
+        graph = self.macro_graph(window)
+        return (
+            graph.critical_path(extra),
+            sum(graph.op_counts.values()),
+            self._base_dynamic_nj(graph.op_counts),
+            [min(partition, demand) for demand in graph.demand],
+        )
+
     # -- the vectorized pass ---------------------------------------------------
+
+    def _columns(
+        self,
+        designs: Tuple[DesignPoint, ...],
+        row_of: Callable[[Tuple[int, int, int]], _StructureRow],
+    ) -> BatchResult:
+        """Factorize *designs* onto structures, take each structure's row
+        from *row_of*, and broadcast the power model over the points."""
+        n = len(designs)
+        lib = self.library
+        window_of, extra_of = self._window, self._extra
+        clock_of, escale_of, lscale_of = self._clock, self._escale, self._lscale
+        partition_cap = self.cache.partition_cap
+
+        # Factorize the grid: per-point structural key plus the exact
+        # library scalars, all memoized per unique coordinate so the
+        # library is consulted once per distinct value, not per point.
+        struct_index: Dict[Tuple[int, int, int], int] = {}
+        struct_keys: List[Tuple[int, int, int]] = []
+        struct_idx = np.empty(n, dtype=np.intp)
+        clock_v = np.empty(n, dtype=np.float64)
+        escale_v = np.empty(n, dtype=np.float64)
+        lscale_v = np.empty(n, dtype=np.float64)
+        for i, design in enumerate(designs):
+            node = design.node_nm
+            wkey = (node, design.heterogeneity)
+            window = window_of.get(wkey)
+            if window is None:
+                window = lib.fusion_window(node, design.heterogeneity)
+                window_of[wkey] = window
+            extra = extra_of.get(design.simplification)
+            if extra is None:
+                extra = lib.latency_extra(design.simplification)
+                extra_of[design.simplification] = extra
+            key = (min(design.partition, partition_cap), window, extra)
+            idx = struct_index.get(key)
+            if idx is None:
+                idx = len(struct_keys)
+                struct_index[key] = idx
+                struct_keys.append(key)
+            struct_idx[i] = idx
+
+            clock = clock_of.get(node)
+            if clock is None:
+                clock = lib.clock_mhz(node)
+                clock_of[node] = clock
+            clock_v[i] = clock
+            skey = (node, design.simplification)
+            escale = escale_of.get(skey)
+            if escale is None:
+                escale = lib.energy_scale(node, design.simplification)
+                escale_of[skey] = escale
+            escale_v[i] = escale
+            lscale = lscale_of.get(skey)
+            if lscale is None:
+                lscale = lib.leakage_scale(node, design.simplification)
+                lscale_of[skey] = lscale
+            lscale_v[i] = lscale
+
+        n_structs = len(struct_keys)
+        cycles_s = np.empty(n_structs, dtype=np.int64)
+        ops_s = np.empty(n_structs, dtype=np.int64)
+        base_dyn_s = np.empty(n_structs, dtype=np.float64)
+        units_s = np.empty((n_structs, len(_CLASS_LIST)), dtype=np.float64)
+        for j, key in enumerate(struct_keys):
+            cycles_s[j], ops_s[j], base_dyn_s[j], units_s[j] = row_of(key)
+
+        # Broadcast the per-structure vectors across the node x
+        # simplification plane.  Association/summation order mirrors the
+        # scalar path exactly:
+        #   dynamic = base_dynamic * energy_scale
+        #   leakage = sum_k units_k * (base_leak_k * leakage_scale)
+        with span("evaluate", points=n, structures=n_structs):
+            dynamic_v = base_dyn_s[struct_idx] * escale_v
+            leakage_v = np.zeros(n, dtype=np.float64)
+            units_v = units_s[struct_idx]
+            for k, base in enumerate(self._base_leak):
+                leakage_v += units_v[:, k] * (base * lscale_v)
+        return BatchResult(
+            kernel=self.kernel.name,
+            designs=designs,
+            cycles=cycles_s[struct_idx],
+            clock_mhz=clock_v,
+            dynamic_energy_nj=dynamic_v,
+            leakage_power_w=leakage_v,
+            total_ops=ops_s[struct_idx],
+            structures=n_structs,
+        )
 
     def evaluate(self, designs: Sequence[DesignPoint]) -> BatchResult:
         """Batched equivalent of per-point ``evaluate_design`` over *designs*."""
@@ -457,104 +582,37 @@ class BatchEvaluator:
         if n == 0:
             return _empty_result(self.kernel.name)
         with span("batch.evaluate", points=n):
-            lib = self.library
-            cache = self.cache
-            window_of, extra_of = self._window, self._extra
-            clock_of, escale_of, lscale_of = (
-                self._clock,
-                self._escale,
-                self._lscale,
-            )
-            partition_cap = cache.partition_cap
-
-            # Factorize the grid: per-point structural key plus the exact
-            # library scalars, all memoized per unique coordinate so the
-            # library is consulted once per distinct value, not per point.
-            struct_index: Dict[Tuple[int, int, int], int] = {}
-            struct_keys: List[Tuple[int, int, int]] = []
-            struct_idx = np.empty(n, dtype=np.intp)
-            clock_v = np.empty(n, dtype=np.float64)
-            escale_v = np.empty(n, dtype=np.float64)
-            lscale_v = np.empty(n, dtype=np.float64)
-            for i, design in enumerate(design_list):
-                node = design.node_nm
-                wkey = (node, design.heterogeneity)
-                window = window_of.get(wkey)
-                if window is None:
-                    window = lib.fusion_window(node, design.heterogeneity)
-                    window_of[wkey] = window
-                extra = extra_of.get(design.simplification)
-                if extra is None:
-                    extra = lib.latency_extra(design.simplification)
-                    extra_of[design.simplification] = extra
-                key = (min(design.partition, partition_cap), window, extra)
-                idx = struct_index.get(key)
-                if idx is None:
-                    idx = len(struct_keys)
-                    struct_index[key] = idx
-                    struct_keys.append(key)
-                struct_idx[i] = idx
-
-                clock = clock_of.get(node)
-                if clock is None:
-                    clock = lib.clock_mhz(node)
-                    clock_of[node] = clock
-                clock_v[i] = clock
-                skey = (node, design.simplification)
-                escale = escale_of.get(skey)
-                if escale is None:
-                    escale = lib.energy_scale(node, design.simplification)
-                    escale_of[skey] = escale
-                escale_v[i] = escale
-                lscale = lscale_of.get(skey)
-                if lscale is None:
-                    lscale = lib.leakage_scale(node, design.simplification)
-                    lscale_of[skey] = lscale
-                lscale_v[i] = lscale
-
             # Resolve every unique structure once (memo -> store -> fast
-            # scheduler); coalesced points count as memo hits.  Structures
-            # already resolved by an earlier evaluate() call skip the cache
-            # lookup entirely, so they coalesce as well — keeping
+            # scheduler).  A structure resolved by an earlier call skips
+            # the cache lookup, so every point but one per newly resolved
+            # structure counts as a coalesced memo hit, keeping
             # ``memo_hits + memo_misses == len(designs)`` on every call.
-            n_structs = len(struct_keys)
-            fresh = sum(1 for key in struct_keys if key not in self._struct_rows)
-            cycles_s = np.empty(n_structs, dtype=np.int64)
-            ops_s = np.empty(n_structs, dtype=np.int64)
-            base_dyn_s = np.empty(n_structs, dtype=np.float64)
-            units_s = np.empty((n_structs, len(_CLASS_LIST)), dtype=np.float64)
-            for j, key in enumerate(struct_keys):
-                cycles, total_ops, base_dyn, units = self._structure_row(key)
-                cycles_s[j] = cycles
-                ops_s[j] = total_ops
-                base_dyn_s[j] = base_dyn
-                units_s[j] = units
-            cache.record_coalesced(n - fresh)
-
-            # Broadcast the per-structure vectors across the node x
-            # simplification plane.  Association/summation order mirrors
-            # the scalar path exactly:
-            #   dynamic = base_dynamic * energy_scale
-            #   leakage = sum_k units_k * (base_leak_k * leakage_scale)
-            with span("evaluate", points=n, structures=n_structs):
-                cycles_v = cycles_s[struct_idx]
-                ops_v = ops_s[struct_idx]
-                dynamic_v = base_dyn_s[struct_idx] * escale_v
-                leakage_v = np.zeros(n, dtype=np.float64)
-                units_v = units_s[struct_idx]
-                for k, base in enumerate(self._base_leak):
-                    leakage_v += units_v[:, k] * (base * lscale_v)
-
+            resolved = len(self._struct_rows)
+            result = self._columns(design_list, self._structure_row)
+            self.cache.record_coalesced(n - (len(self._struct_rows) - resolved))
             registry = metrics()
             registry.counter("batch.points").inc(n)
-            registry.counter("batch.structures").inc(n_structs)
-            return BatchResult(
-                kernel=self.kernel.name,
-                designs=design_list,
-                cycles=cycles_v,
-                clock_mhz=clock_v,
-                dynamic_energy_nj=dynamic_v,
-                leakage_power_w=leakage_v,
-                total_ops=ops_v,
-                structures=n_structs,
-            )
+            registry.counter("batch.structures").inc(result.structures)
+            return result
+
+    def bound(self, designs: Sequence[DesignPoint]) -> BatchResult:
+        """*designs* priced at their structures' critical paths.
+
+        The columns are :meth:`evaluate`'s with each point's cycles
+        replaced by the critical path of its fusion window and latency
+        extra, which no schedule undercuts.  Throughput and energy
+        efficiency both fall as cycles grow with every other field fixed,
+        through IEEE-754 steps that are each monotone, so the metric of a
+        :meth:`reports` row here is an upper bound, float for float, of
+        the metric :meth:`evaluate` gives the same point, and equal to it
+        at or past the window's saturation.
+
+        No event loop runs and the :class:`ScheduleCache` is not touched:
+        no lookup, no counter, no store write.  The pass is not a
+        ``batch.evaluate`` and adds nothing to the ``batch.*`` counters.
+        """
+        design_list = tuple(designs)
+        if not design_list:
+            return _empty_result(self.kernel.name)
+        with span("batch.bound", points=len(design_list)):
+            return self._columns(design_list, self._bound_row)

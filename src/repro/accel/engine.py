@@ -151,6 +151,10 @@ def _attribute_kernel_task(
 ):
     """Attribute one kernel; the per-kernel unit of :meth:`attribute_all`.
 
+    The returned counters' ``design_points`` counts the points evaluated
+    exactly (the grid points the pruned search could not rule out, the
+    45nm baseline and the four ablations), not the grid size.
+
     *trace_spans* is a tri-state: ``True``/``False`` mean "this is a worker
     process, install a fresh tracer (or none)"; ``None`` means "running
     in-process, leave the caller's tracer alone" — its spans are already
@@ -171,7 +175,8 @@ def _attribute_kernel_task(
         cache=cache,
     )
     counters = cache.counters()
-    # Every evaluation, the 45nm baseline included, is one memo lookup.
+    # Every exact evaluation, the 45nm baseline included, is one memo
+    # lookup; the search's critical-path bound pass makes none.
     counters["design_points"] = cache.memo_hits + cache.memo_misses
     spans = _drain_worker_spans() if trace_spans is not None else []
     return attribution, counters, spans

@@ -257,6 +257,11 @@ class SweepStats:
     split of the time into stages is read from the tracer's spans
     (``--profile``), not from here.
 
+    ``design_points`` counts the points evaluated exactly and equals
+    ``memo_hits + memo_misses``: every point of a sweep, but for an
+    attribution only the grid points its pruned best-design search
+    evaluates plus the baseline and the four ablations per kernel.
+
     ``elapsed_s`` is always the *wall-clock* duration of the operation
     that produced the stats, on every path (serial, parallel,
     multi-kernel) — never a sum over children.  ``jobs`` records the

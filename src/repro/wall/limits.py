@@ -34,7 +34,10 @@ class DomainLimits:
     tdp_w: float
     frequency_mhz: float
     study_factory: Callable[[], CaseStudy]
+    #: Units of the performance and efficiency walls' gains (the study's
+    #: ``performance_metric`` and ``efficiency_metric``).
     gain_unit: str
+    efficiency_unit: str
     #: How the Table V TDP budget caps the *limit* chip: None (doesn't bind,
     #: e.g. video's 7W budget is 10x the highest measured power),
     #: "analytic" (Fig 3d device-power model) or "empirical" (Fig 3c
@@ -106,6 +109,7 @@ def _table5() -> Tuple[DomainLimits, ...]:
             frequency_mhz=400.0,
             study_factory=video_decoders.study,
             gain_unit="MPixels/s",
+            efficiency_unit="MPixels/J",
             limit_cap=None,
         ),
         DomainLimits(
@@ -117,6 +121,7 @@ def _table5() -> Tuple[DomainLimits, ...]:
             frequency_mhz=1500.0,
             study_factory=gpu_graphics.study,
             gain_unit="frames/s",
+            efficiency_unit="frames/J",
             limit_cap="analytic",
         ),
         DomainLimits(
@@ -128,6 +133,7 @@ def _table5() -> Tuple[DomainLimits, ...]:
             frequency_mhz=400.0,
             study_factory=cnn_combined,
             gain_unit="GOP/s",
+            efficiency_unit="GOP/J",
         ),
         DomainLimits(
             domain="bitcoin_mining",
@@ -138,6 +144,7 @@ def _table5() -> Tuple[DomainLimits, ...]:
             frequency_mhz=1400.0,
             study_factory=bitcoin.asic_study,
             gain_unit="GHash/s/mm^2",
+            efficiency_unit="GHash/J",
         ),
     )
 
@@ -254,10 +261,12 @@ def accelerator_wall(
         series = study.performance_series(cmos)
         physical_metric = study.physical_performance_metric
         measured_metric = study.performance_metric
+        gain_unit = row.gain_unit
     elif metric == "efficiency":
         series = study.efficiency_series(cmos)
         physical_metric = "energy_efficiency"
         measured_metric = study.efficiency_metric
+        gain_unit = row.efficiency_unit
     else:
         raise ProjectionError(f"unknown wall metric {metric!r}")
 
@@ -277,7 +286,7 @@ def accelerator_wall(
     return WallReport(
         domain=domain,
         metric=metric,
-        gain_unit=row.gain_unit,
+        gain_unit=gain_unit,
         current_best=max(gain for _, gain in points),
         physical_limit=physical_limit,
         linear_fit=linear_fit,

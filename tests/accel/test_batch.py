@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.attribution import GainAttribution, attribute_gains
+from repro.accel.attribution import (
+    GainAttribution,
+    attribute_gains,
+    find_best_design,
+)
 from repro.accel.batch import BatchEvaluator, MacroGraph
 from repro.accel.cache import ScheduleStore
 from repro.accel.design import DesignPoint, baseline_design
@@ -32,6 +36,8 @@ from repro.accel.sweep import (
 from repro.accel.trace import TracedKernel
 from repro.dfg.graph import Dfg, NodeKind
 from repro.dfg.transforms import dead_code_eliminate
+from repro.errors import ValidationError
+from repro.obs.metrics import metrics
 from repro.obs.trace import Tracer, set_tracer
 from repro.workloads import build_kernel, s3d, trd
 
@@ -375,6 +381,28 @@ def test_macro_graph_matches_scheduler_on_random_dfgs(kernel):
 METRIC_FIELD = {"throughput": "throughput_ops", "energy_efficiency": "energy_efficiency"}
 
 
+@given(kernel=random_kernel(), designs=random_grid())
+@settings(max_examples=60, deadline=None)
+def test_bound_caps_both_metrics_and_counts_nothing(kernel, designs):
+    evaluator = BatchEvaluator(kernel)
+    cache = evaluator.cache
+    points = metrics().counter("batch.points")
+    before = (cache.memo_hits, cache.memo_misses, points.value)
+    bounds = evaluator.bound(designs).reports()
+    assert (cache.memo_hits, cache.memo_misses, points.value) == before
+    exact = evaluator.evaluate(designs).reports()
+    lib = evaluator.library
+    for design, bound, report in zip(designs, bounds, exact):
+        window = lib.fusion_window(design.node_nm, design.heterogeneity)
+        saturated = (
+            design.partition >= evaluator.macro_graph(window).saturation
+        )
+        for field in METRIC_FIELD.values():
+            assert getattr(bound, field) >= getattr(report, field)
+            if saturated:
+                assert getattr(bound, field) == getattr(report, field)
+
+
 def oracle_attribution(
     kernel, metric, partitions, simplifications, node_nm=5.0, baseline_node_nm=45.0
 ):
@@ -463,6 +491,24 @@ def test_attribution_matches_oracle_on_random_inputs(
     assert attribute_gains(
         kernel, metric, partitions=partitions, simplifications=simplifications
     ) == oracle_attribution(kernel, metric, partitions, simplifications)
+
+
+@pytest.mark.parametrize("abbrev", ["RED", "TRD", "S3D", "MDY"])
+def test_throughput_search_schedules_only_the_extra_zero_structures(abbrev):
+    # Past the knee every latency extra lengthens the critical path, and
+    # extra 0 reaches its own at saturation, so the search schedules one
+    # structure per distinct (capped) partition and nothing else.  A full
+    # scan schedules five times as many: extras 0 to 4.
+    kernel = build_kernel(abbrev)
+    cache = ScheduleCache(kernel, ResourceLibrary())
+    find_best_design(kernel, "throughput", cache=cache)
+    partitions = {min(p, cache.partition_cap) for p in table3_partitions()}
+    assert cache.memo_misses <= len(partitions)
+
+
+def test_attribution_rejects_an_empty_grid(kernel):
+    with pytest.raises(ValidationError, match="non-empty grid"):
+        attribute_gains(kernel, partitions=[])
 
 
 class TestEngineVectorization:

@@ -141,8 +141,10 @@ class TestStatsAccounting:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_attribute_all_counts_every_evaluation_once(self, jobs):
-        # Per kernel: the best-design grid plus the 45nm baseline and the
-        # four ablations, each one memo lookup and one design point.
+        # Per kernel: the grid points the pruned search evaluates exactly
+        # (at most the grid) plus the 45nm baseline and the four
+        # ablations, each one memo lookup and one design point.  The
+        # critical-path bound pass counts nothing.
         kernels = [trd.build(n=16), s3d.build()]
         partitions, simplifications = (1, 8, 64), (1, 5, 9, 13)
         engine = SweepEngine(jobs=jobs, use_cache=False)
@@ -150,9 +152,9 @@ class TestStatsAccounting:
             kernels, partitions=partitions, simplifications=simplifications
         )
         stats = engine.last_stats
-        expected = len(kernels) * (len(partitions) * len(simplifications) + 5)
-        assert stats.memo_hits + stats.memo_misses == expected
-        assert stats.design_points == expected
+        grid = len(partitions) * len(simplifications)
+        assert stats.design_points == stats.memo_hits + stats.memo_misses
+        assert stats.design_points <= len(kernels) * (grid + 5)
 
     def test_attribute_all_serial_reports_one_job(self):
         kernels = [trd.build(n=16), s3d.build()]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ProjectionError
+from repro.tech.base import backend_names
+from repro.tech.scenarios import wall_reports
 from repro.wall.limits import accelerator_wall, wall_report_all_domains
 
 
@@ -46,6 +48,28 @@ class TestWallMechanics:
         # The 5nm wall lies beyond today's chips in every domain.
         for report in reports.values():
             assert report.physical_limit > 1.0
+
+    @pytest.mark.parametrize("tech", [None] + backend_names())
+    def test_each_metric_carries_its_own_unit(self, paper_model, tech):
+        # An efficiency wall's gain is per joule, in the unit of its
+        # study's efficiency metric; a performance wall's is per second
+        # (bitcoin's per second and mm^2).
+        walls = (
+            wall_report_all_domains(paper_model)
+            if tech is None
+            else wall_reports(tech)
+        )
+        units = {(r.domain, r.metric): r.gain_unit for r in walls}
+        assert units == {
+            ("video_decoding", "performance"): "MPixels/s",
+            ("video_decoding", "efficiency"): "MPixels/J",
+            ("gaming_graphics", "performance"): "frames/s",
+            ("gaming_graphics", "efficiency"): "frames/J",
+            ("convolutional_nn", "performance"): "GOP/s",
+            ("convolutional_nn", "efficiency"): "GOP/J",
+            ("bitcoin_mining", "performance"): "GHash/s/mm^2",
+            ("bitcoin_mining", "efficiency"): "GHash/J",
+        }
 
     def test_describe(self, reports):
         text = reports[("video_decoding", "performance")].describe()
