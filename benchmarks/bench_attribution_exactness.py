@@ -6,8 +6,8 @@ For all 16 Table IV kernels x both metrics x (node, baseline) in
 below: one :meth:`~repro.accel.batch.BatchEvaluator.evaluate` of the whole
 grid, the first design with the greatest metric, then the baseline and
 the four ablations.  The pruned search schedules only the structures whose
-critical-path bound can still win; the reference schedules every one, so
-the emitted counts show what the bound saves.
+cycle bound (``MacroGraph.cycle_bound``) can still win; the reference
+schedules every one, so the emitted counts show what the bound saves.
 """
 
 import math

@@ -23,7 +23,7 @@ ablations — runs through one :class:`repro.accel.batch.BatchEvaluator`
 over one shared :class:`~repro.accel.sweep.ScheduleCache`, so each window's
 macro DAG is built once, each unique structure is scheduled at most once,
 and the power model is a numpy broadcast.  The search first prices the
-whole grid at each structure's critical path
+whole grid at a lower bound of each structure's cycles
 (:meth:`~repro.accel.batch.BatchEvaluator.bound`, no scheduling), then
 evaluates exactly, group by group of equal bound, only the points that
 can still beat or tie the best found; the baseline and ablations are one
@@ -155,8 +155,8 @@ def find_best_design(
     """Grid-search the best design for *metric* at *node_nm*.
 
     The first design in grid order with the greatest *metric* wins, as in
-    a full scan, but only the points whose critical-path bound can still
-    win are scheduled (:func:`_best_report`).  An empty grid is a
+    a full scan, but only the points whose cycle bound can still win are
+    scheduled (:func:`_best_report`).  An empty grid is a
     :class:`~repro.errors.ValidationError`.  *cache* lets callers share
     one (possibly persistent-backed) :class:`ScheduleCache` across the
     search and later ablations; it carries its own library, and a

@@ -198,6 +198,24 @@ class MacroGraph:
         """
         return self._plan(latency_extra)[2]
 
+    def cycle_bound(self, partition: int, latency_extra: int = 0) -> int:
+        """A lower bound on :meth:`schedule`'s cycles, without the event loop.
+
+        The larger of the critical path and, over classes, the time
+        ``min(partition, demand)`` non-pipelined units need to run a
+        class's ``demand`` macros: ``ceil(demand / units) * latency``.  At
+        or past :attr:`saturation` every class fits in one round, no
+        longer than a path through one of its macros, so the bound is the
+        critical path and equals the schedule.
+        """
+        latency, _, critical = self._plan(latency_extra)
+        busiest = 0
+        for count, cycles in zip(self.demand, latency):
+            if count:
+                units = min(partition, count)
+                busiest = max(busiest, -(-count // units) * cycles)
+        return max(critical, busiest)
+
     def _provisioned(self, partition: int) -> Dict[OpClass, int]:
         provisioned: Dict[OpClass, int] = {}
         for i, klass in enumerate(_CLASS_LIST):
@@ -470,7 +488,8 @@ class BatchEvaluator:
         return row
 
     def _bound_row(self, key: Tuple[int, int, int]) -> _StructureRow:
-        """:meth:`_structure_row` of *key* with the critical path as cycles.
+        """:meth:`_structure_row` of *key* with :meth:`MacroGraph.cycle_bound`
+        as cycles.
 
         Every other field equals the scheduled row's: the op counts do not
         depend on the structure, and a class is provisioned
@@ -479,7 +498,7 @@ class BatchEvaluator:
         partition, window, extra = key
         graph = self.macro_graph(window)
         return (
-            graph.critical_path(extra),
+            graph.cycle_bound(partition, extra),
             sum(graph.op_counts.values()),
             self._base_dynamic_nj(graph.op_counts),
             [min(partition, demand) for demand in graph.demand],
@@ -596,16 +615,17 @@ class BatchEvaluator:
             return result
 
     def bound(self, designs: Sequence[DesignPoint]) -> BatchResult:
-        """*designs* priced at their structures' critical paths.
+        """*designs* priced at lower bounds of their structures' cycles.
 
         The columns are :meth:`evaluate`'s with each point's cycles
-        replaced by the critical path of its fusion window and latency
-        extra, which no schedule undercuts.  Throughput and energy
-        efficiency both fall as cycles grow with every other field fixed,
-        through IEEE-754 steps that are each monotone, so the metric of a
-        :meth:`reports` row here is an upper bound, float for float, of
-        the metric :meth:`evaluate` gives the same point, and equal to it
-        at or past the window's saturation.
+        replaced by :meth:`MacroGraph.cycle_bound` of its partition, fusion
+        window and latency extra: the critical path or, when larger, the
+        busiest class's serial time on its units.  No schedule undercuts
+        it.  Throughput and energy efficiency both fall as cycles grow with
+        every other field fixed, through IEEE-754 steps that are each
+        monotone, so the metric of a :meth:`reports` row here is an upper
+        bound, float for float, of the metric :meth:`evaluate` gives the
+        same point, and equal to it at or past the window's saturation.
 
         No event loop runs and the :class:`ScheduleCache` is not touched:
         no lookup, no counter, no store write.  The pass is not a

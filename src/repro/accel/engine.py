@@ -176,7 +176,7 @@ def _attribute_kernel_task(
     )
     counters = cache.counters()
     # Every exact evaluation, the 45nm baseline included, is one memo
-    # lookup; the search's critical-path bound pass makes none.
+    # lookup; the search's cycle-bound pass makes none.
     counters["design_points"] = cache.memo_hits + cache.memo_misses
     spans = _drain_worker_spans() if trace_spans is not None else []
     return attribution, counters, spans

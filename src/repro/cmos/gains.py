@@ -195,6 +195,9 @@ class GainsModel:
         power = leak_w + dyn_full_w * active_fraction
         require_positive(power, "modelled chip power")
         require_finite(active, "active transistor count")
+        # Active devices and frequency can each be finite while their product
+        # (the reported throughput) overflows at extreme clock rates.
+        require_finite(active * f_ghz, "modelled throughput")
         return ChipGains(
             node_nm=node,
             area_mm2=float(area_mm2),

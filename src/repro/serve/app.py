@@ -22,10 +22,12 @@ Request flow::
 Every JSON response is wrapped in the provenance envelope
 ``{"schema_version", "server": {run_id, git, version, ...}, "data"}`` so
 served numbers can be joined to the run ledger and drift-checked against
-exported artifacts with the PR-4 machinery.  SIGTERM/SIGINT trigger a
-graceful drain: the listener closes, in-flight requests finish, queued
-jobs are cancelled, running jobs get a bounded grace period, and the
-process exits 0.
+exported artifacts.  The envelope's text up to ``"data": `` is encoded
+once at startup; a body is that prefix, the data's JSON text and ``}``.
+Finite answers and response-cache entries are held as JSON text, so a
+hit encodes nothing.  SIGTERM/SIGINT trigger a graceful drain: the
+listener closes, in-flight requests finish, queued jobs are cancelled,
+running jobs get a bounded grace period, and the process exits 0.
 
 Under a supervisor each worker shares state with its siblings through
 files in the supervisor's fleet directory, never over the network: job
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import logging
 import signal
 import socket
 import threading
@@ -69,7 +72,14 @@ from repro.serve.debug import FlightRecorder
 from repro.serve.handlers import register_routes
 from repro.serve.jobs import DONE, Job, JobQueue
 from repro.serve.limits import InflightGate, RateLimiter
-from repro.serve.router import HttpError, Request, Response, Router
+from repro.serve.router import (
+    HttpError,
+    Request,
+    Response,
+    Router,
+    encode_json,
+    json_head,
+)
 
 __all__ = ["ServeApp", "ServeConfig", "ServerHandle"]
 
@@ -147,6 +157,36 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise ConnectionError("request line too long") from None
 
 
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
+    """``(method, target, version, headers)`` of one request head, or
+    ``None`` when the socket closed (or sent a blank line) before one began.
+
+    Lines may end in CRLF or a bare LF; malformed framing raises
+    :class:`ConnectionError`.
+    """
+    line = await _read_line(reader)
+    if not line.strip():
+        return None
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise ConnectionError("malformed request line")
+    headers: Dict[str, str] = {}
+    total = len(line)
+    while True:
+        header_line = await _read_line(reader)
+        total += len(header_line)
+        if total > MAX_HEADER_BYTES:
+            raise ConnectionError("header block too large")
+        if header_line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = header_line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    method, target, http_version = parts
+    return method, target, http_version, headers
+
+
 class ServeApp:
     """One serving process: loaded state + HTTP front end."""
 
@@ -192,6 +232,7 @@ class ServeApp:
         self.schema_version = SCHEMA_VERSION
         self.manifest = capture("serve", argv=[])
         self.git = dict(self.manifest.git)
+        self._envelope_head = json_head(self.envelope(None))
         try:
             RunLedger().record(self.manifest)
         except OSError:
@@ -314,8 +355,8 @@ class ServeApp:
                 valid_technologies=backend_names(),
             )
 
-    async def artifact_payload(self, name: str) -> Any:
-        """One export artifact's payload, built once per process.
+    async def artifact_text(self, name: str) -> bytes:
+        """One export artifact's ``data`` as JSON text, built once per process.
 
         The payload goes through the same builder and ``_jsonable``
         coercion as ``repro export``, so endpoint responses are golden-
@@ -326,7 +367,7 @@ class ServeApp:
         """
         from repro.reporting.export import _jsonable, artifact_registry
 
-        def build() -> Any:
+        def build() -> bytes:
             builders = artifact_registry(self.model, engine=self.engine)
             try:
                 builder = builders[name]
@@ -337,34 +378,38 @@ class ServeApp:
                     valid_artifacts=sorted(builders),
                 )
             with span("serve.artifact", artifact=name):
-                return _jsonable(builder())
+                return encode_json(_jsonable(builder()))
 
         return await self.memoized(("serve.artifact", name), build)
 
-    async def memoized(self, key, build: Callable[[], Any]) -> Any:
-        """The process memo's value for *key*, a tuple of names from finite sets.
+    async def memoized(self, key, build: Callable[[], bytes]) -> bytes:
+        """The process memo's JSON text for *key*, a tuple of names from
+        finite sets.
 
         A hit answers on the event loop; a miss runs ``memo(key, build)``
-        on the thread pool.  A *build* that raises stores nothing.
+        on the thread pool.  *build* returns the answer's JSON text, with
+        no envelope: the envelope names the app's run, and one process
+        may hold several apps.  A *build* that raises stores nothing.
         """
         found, value = peek(key)
         if found:
             return value
         return await self.run_blocking(lambda: memo(key, build))
 
-    async def cached(self, key, fn: Callable[[], Any]) -> Any:
-        """The response for canonical request *key*, from the response LRU.
+    async def cached(self, key, fn: Callable[[], Any]) -> bytes:
+        """The JSON text of canonical request *key*'s answer, from the
+        response LRU.
 
         For keys drawn from open sets (request floats); finite keys go
         through :meth:`memoized`.  A miss runs blocking *fn* on the thread
-        pool and stores its result.  *fn* must be a pure function of
-        *key*: concurrent misses on one key each compute and store the
-        same value.
+        pool and stores the JSON text of its payload.  *fn* must be a pure
+        function of *key*: concurrent misses on one key each compute and
+        store the same value.
         """
         hit, value = self._response_cache.get(key)
         if hit:
             return value
-        value = await self.run_blocking(fn)
+        value = await self.run_blocking(lambda: encode_json(fn()))
         self._response_cache.put(key, value)
         return value
 
@@ -481,7 +526,11 @@ class ServeApp:
     # -- envelope ---------------------------------------------------------------
 
     def envelope(self, data: Any) -> Dict[str, Any]:
-        """Wrap *data* in the provenance envelope every response carries."""
+        """Wrap *data* in the provenance envelope every response carries.
+
+        Responses do not call this: :meth:`json_response` splices the
+        data's text into the envelope's, encoded once at startup.
+        """
         import repro
 
         return {
@@ -495,6 +544,25 @@ class ServeApp:
             },
             "data": data,
         }
+
+    def json_response(
+        self,
+        data: Any,
+        status: int = 200,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Response:
+        """*data* in the provenance envelope: the one way a JSON body is built.
+
+        *data* is a JSON-able value or its JSON text as ``bytes`` (a memo
+        or response-cache hit), which is not encoded again.  The body is
+        byte for byte ``json.dumps(self.envelope(data))`` and a newline.
+        """
+        text = data if isinstance(data, bytes) else encode_json(data)
+        return Response(
+            status=status,
+            body=self._envelope_head + text + b"}\n",
+            headers=dict(headers or {}),
+        )
 
     # -- request dispatch -------------------------------------------------------
 
@@ -586,23 +654,20 @@ class ServeApp:
             if isinstance(payload, Response):
                 response = payload
             else:
-                response = Response.json(self.envelope(payload))
+                response = self.json_response(payload)
         except HttpError as exc:
-            response = Response.json(
-                self.envelope(exc.payload()), status=exc.status,
-                headers=exc.headers,
+            response = self.json_response(
+                exc.payload(), status=exc.status, headers=exc.headers
             )
         except ReproError as exc:
             # Library guards rejecting an input are client errors, not 500s.
-            response = Response.json(
-                self.envelope({"error": str(exc), "status": 400}), status=400
+            response = self.json_response(
+                {"error": str(exc), "status": 400}, status=400
             )
         except Exception as exc:  # noqa: BLE001 - never kill the connection loop
             logger.exception("request.failed method=%s path=%s", request.method, request.path)
-            response = Response.json(
-                self.envelope(
-                    {"error": f"internal error: {type(exc).__name__}", "status": 500}
-                ),
+            response = self.json_response(
+                {"error": f"internal error: {type(exc).__name__}", "status": 500},
                 status=500,
             )
         finally:
@@ -614,16 +679,17 @@ class ServeApp:
         registry.counter(f"serve.responses.{response.status // 100}xx").inc()
         registry.histogram("serve.latency_s").observe(elapsed)
         registry.histogram(f"serve.latency_s.{route_name}").observe(elapsed)
-        logger.info(
-            "request %s",
-            kv(
-                method=request.method,
-                path=request.path,
-                status=response.status,
-                ms=elapsed * 1e3,
-                client=request.client,
-            ),
-        )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "request %s",
+                kv(
+                    method=request.method,
+                    path=request.path,
+                    status=response.status,
+                    ms=elapsed * 1e3,
+                    client=request.client,
+                ),
+            )
         return response, route_name, elapsed
 
     # -- the HTTP/1.1 protocol --------------------------------------------------
@@ -677,32 +743,22 @@ class ServeApp:
     async def _read_request(
         self, reader: asyncio.StreamReader, peer_host: str
     ) -> Tuple[Optional[Request], bool]:
-        """Parse one request; ``(None, False)`` on a cleanly closed socket.
+        """Parse one request; ``(None, False)`` on a cleanly closed socket
+        or a head that does not complete within :data:`IDLE_TIMEOUT_S`.
 
-        Malformed framing raises :class:`ConnectionError`, which closes the
-        connection without a response.
+        The whole head (request line and header lines) is read under one
+        timeout, so a client that trickles header lines cannot hold the
+        connection past it.  Malformed framing raises
+        :class:`ConnectionError`; either way the connection closes without
+        a response.
         """
         try:
-            line = await asyncio.wait_for(_read_line(reader), IDLE_TIMEOUT_S)
+            head = await asyncio.wait_for(_read_head(reader), IDLE_TIMEOUT_S)
         except asyncio.TimeoutError:
             return None, False
-        if not line.strip():
+        if head is None:
             return None, False
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise ConnectionError("malformed request line")
-        method, target, http_version = parts
-        headers: Dict[str, str] = {}
-        total = len(line)
-        while True:
-            header_line = await asyncio.wait_for(_read_line(reader), IDLE_TIMEOUT_S)
-            total += len(header_line)
-            if total > MAX_HEADER_BYTES:
-                raise ConnectionError("header block too large")
-            if header_line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header_line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        method, target, http_version, headers = head
         raw_length = headers.get("content-length", "") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise ConnectionError("malformed Content-Length")
@@ -747,8 +803,10 @@ class ServeApp:
         for name, value in response.headers.items():
             if name.lower() != "connection":
                 head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(response.body)
+        # One write, so the head and the body leave in one send.
+        writer.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body
+        )
         await writer.drain()
 
     # -- lifecycle ---------------------------------------------------------------

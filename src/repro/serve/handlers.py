@@ -2,15 +2,18 @@
 
 Each handler is ``async def handler(app, request, **path_params)`` taking
 the :class:`repro.serve.app.ServeApp` and a parsed
-:class:`repro.serve.router.Request`; it returns a JSON-able payload (the
-app wraps it into the provenance envelope) or a ready
-:class:`~repro.serve.router.Response` for non-JSON bodies.
+:class:`repro.serve.router.Request`; it returns a JSON-able payload or,
+for an answer held as text (the process memo, the response LRU), its
+JSON text as ``bytes``; the app wraps either into the provenance
+envelope.  A ready :class:`~repro.serve.router.Response` carries a
+non-JSON body.
 
 The query endpoints reuse the *same* builder functions as ``repro
 export`` (:func:`repro.reporting.export.artifact_builders`, the study
-objects, :func:`repro.wall.wall_sensitivity`, ...), so a served payload
-is byte-for-byte the number set the offline artifact carries — the golden
-parity the drift comparator checks in the test suite and CI.
+objects, :meth:`repro.wall.limits.WallReport.at_limits`, ...), so a
+served payload is byte-for-byte the number set the offline artifact
+carries — the golden parity the drift comparator checks in the test
+suite and CI.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import re
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.serve.router import HttpError, Request, Response
+from repro.serve.router import HttpError, Request, Response, encode_json, json_head
 from repro.serve import jobs as jobmod
 
 __all__ = [
@@ -252,8 +255,8 @@ async def artifacts_index(app, request: Request) -> Dict[str, Any]:
     return {"artifacts": app.artifact_names()}
 
 
-async def artifact(app, request: Request, name: str) -> Any:
-    return await app.artifact_payload(name)
+async def artifact(app, request: Request, name: str) -> bytes:
+    return await app.artifact_text(name)
 
 
 # -- technology backends ("does the wall move?") -------------------------------
@@ -330,24 +333,24 @@ async def cmos_gains(app, request: Request) -> Dict[str, Any]:
 # -- case-study CSR series (Eqs 1-2) ------------------------------------------
 
 
-async def csr_study(app, request: Request, study: str) -> Dict[str, Any]:
+async def csr_study(app, request: Request, study: str) -> bytes:
     """One case study's baseline-normalised CSR series and summary.
 
     ``?tech=<backend>`` re-decomposes the series under that technology's
     potential model (the counterfactual "what if these chips had been
     built in tech T"); without it the fitted CMOS model is used and the
     response is unchanged from earlier schema versions.  Each (study,
-    backend) payload is computed once per process.
+    backend) payload is computed and encoded once per process.
     """
     obj = app.study(study)
     backend = _tech_param(app, request)
     key = ("serve.csr", study) + (() if backend is None else backend.memo_key())
 
-    def compute() -> Dict[str, Any]:
+    def compute() -> bytes:
         model = app.model if backend is None else backend.model()
         series = obj.performance_series(model)
         extra = {} if backend is None else {"tech": backend.name}
-        return {
+        payload = {
             **extra,
             "study": obj.name,
             "metric": series.metric,
@@ -365,6 +368,7 @@ async def csr_study(app, request: Request, study: str) -> Dict[str, Any]:
             ],
             "summary": obj.summary(model),
         }
+        return encode_json(payload)
 
     return await app.memoized(key, compute)
 
@@ -372,22 +376,25 @@ async def csr_study(app, request: Request, study: str) -> Dict[str, Any]:
 # -- wall projections and what-if (Eqs 5-6, Table V) --------------------------
 
 
-async def wall_projections(app, request: Request) -> Any:
+async def wall_projections(app, request: Request) -> bytes:
     """The Figs 15-16 projections — identical to the fig15_16 artifact.
 
     ``?tech=<backend>`` serves that technology's re-run projections
     instead (identical to the exported ``fig15_16_<backend>`` artifact),
     wrapped with the backend's name so responses are self-describing.
+    The wrapper's text is spliced around the artifact's once per process.
     """
     backend = _tech_param(app, request)
     if backend is None:
-        return await app.artifact_payload("fig15_16")
-    projections = await app.artifact_payload(f"fig15_16_{backend.name}")
-    return {
-        "tech": backend.name,
-        "baseline": "cmos",
-        "projections": projections,
-    }
+        return await app.artifact_text("fig15_16")
+    name = backend.name
+    projections = await app.artifact_text(f"fig15_16_{name}")
+
+    def wrap() -> bytes:
+        head = json_head({"tech": name, "baseline": "cmos", "projections": None})
+        return head + projections + b"}"
+
+    return await app.memoized(("serve.wall_projections", name), wrap)
 
 
 def _number(body: Mapping[str, Any], name: str, default: float) -> float:
@@ -406,8 +413,8 @@ def _boolean(body: Mapping[str, Any], name: str, default: bool) -> bool:
     return value
 
 
-async def wall_whatif(app, request: Request) -> Dict[str, Any]:
-    """What-if: re-evaluate one domain's wall under scaled Table V limits.
+async def wall_whatif(app, request: Request) -> bytes:
+    """What-if: read one domain's wall under scaled Table V limits.
 
     Body: ``{"domain": ..., "metric"?: "performance"|"efficiency",
     "die_scale"?: 1.0, "tdp_scale"?: 1.0, "frequency_scale"?: 1.0}``.
@@ -448,39 +455,48 @@ async def wall_whatif(app, request: Request) -> Dict[str, Any]:
 
 
 def compute_whatif(app, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Blocking what-if evaluation (one perturbed wall point + baseline)."""
-    from repro.wall import accelerator_wall, wall_sensitivity
+    """Blocking what-if evaluation: the baseline wall read at one scaled
+    Table V row.
+
+    The baseline is the process's memoized cmos wall report, so a miss
+    evaluates one limit chip and fits nothing
+    (:meth:`~repro.wall.limits.WallReport.at_limits`).
+    """
+    from repro.tech.scenarios import wall_reports
+    from repro.wall.limits import domain_limits
 
     domain = params["domain"]
     metric = params["metric"]
-    baseline = accelerator_wall(domain, app.model, metric)
-    point = wall_sensitivity(
-        domain,
+    (baseline,) = [
+        report
+        for report in wall_reports("cmos")
+        if report.domain == domain and report.metric == metric
+    ]
+    point = baseline.at_limits(
+        domain_limits(domain).scaled(
+            params["die_scale"], params["tdp_scale"], params["frequency_scale"]
+        ),
         app.model,
-        metric=metric,
-        die_scales=(params["die_scale"],),
-        tdp_scales=(params["tdp_scale"],),
-        frequency_scales=(params["frequency_scale"],),
-    )[0]
-    low, high = baseline.headroom
+    )
     return {
         "domain": domain,
         "metric": metric,
         "scales": {
-            "die": point.die_scale,
-            "tdp": point.tdp_scale,
-            "frequency": point.frequency_scale,
+            "die": params["die_scale"],
+            "tdp": params["tdp_scale"],
+            "frequency": params["frequency_scale"],
         },
-        "baseline": {
-            "physical_limit": baseline.physical_limit,
-            "headroom_low": low,
-            "headroom_high": high,
-        },
-        "scenario": {
-            "physical_limit": point.physical_limit,
-            "headroom_low": point.headroom_low,
-            "headroom_high": point.headroom_high,
-        },
+        "baseline": _headroom(baseline),
+        "scenario": _headroom(point),
+    }
+
+
+def _headroom(report) -> Dict[str, float]:
+    low, high = report.headroom
+    return {
+        "physical_limit": report.physical_limit,
+        "headroom_low": low,
+        "headroom_high": high,
     }
 
 
@@ -502,7 +518,7 @@ def _design_params(body: Mapping[str, Any]) -> Dict[str, Any]:
     return params
 
 
-async def evaluate(app, request: Request) -> Dict[str, Any]:
+async def evaluate(app, request: Request) -> bytes:
     """Evaluate one accelerator design point.
 
     Body: ``{"workload": "S3D", "node_nm": 5, "partition": 64,
@@ -630,8 +646,8 @@ async def sweeps_submit(app, request: Request) -> Any:
         job = app.jobs.submit("sweep", params)
     except jobmod.QueueFullError as exc:
         raise HttpError(503, str(exc), headers={"Retry-After": "1"})
-    return Response.json(
-        app.envelope({"job": job.to_dict(include_result=False)}), status=202
+    return app.json_response(
+        {"job": job.to_dict(include_result=False)}, status=202
     )
 
 

@@ -8,8 +8,9 @@ the :class:`Router` mapping ``METHOD /path/{param}`` patterns to handler
 callables.
 
 Handlers are ``async def handler(app, request, **path_params)`` returning
-either a JSON-able payload (wrapped into the provenance envelope by the
-app) or a ready :class:`Response` for non-JSON bodies (``/metrics``).
+a JSON-able payload or its JSON text as ``bytes`` (either is wrapped into
+the provenance envelope by the app), or a ready :class:`Response` for
+non-JSON bodies (``/metrics``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-__all__ = ["HttpError", "Request", "Response", "Route", "Router"]
+__all__ = [
+    "HttpError",
+    "Request",
+    "Response",
+    "Route",
+    "Router",
+    "encode_json",
+    "json_head",
+]
 
 REASONS = {
     200: "OK",
@@ -35,6 +44,24 @@ REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def encode_json(value: Any) -> bytes:
+    """*value*'s JSON text, as every response body spells it."""
+    return json.dumps(value).encode()
+
+
+def json_head(obj: Dict[str, Any]) -> bytes:
+    """:func:`encode_json` of *obj* cut before its last value, ``None``.
+
+    ``json_head(obj) + encode_json(v) + b"}"`` is the text of *obj* with
+    ``v`` in place of that ``None``: JSON text nests by concatenation, so
+    a value encoded once can be wrapped without being encoded again.
+    """
+    text = encode_json(obj)
+    if not text.endswith(b"null}"):
+        raise ValueError("the last value of a JSON head must be None")
+    return text[: -len(b"null}")]
 
 
 class HttpError(Exception):
@@ -131,21 +158,6 @@ class Response:
     body: bytes = b""
     content_type: str = "application/json"
     headers: Dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def json(
-        cls,
-        payload: Any,
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> "Response":
-        body = (json.dumps(payload, indent=None, sort_keys=False) + "\n").encode()
-        return cls(
-            status=status,
-            body=body,
-            content_type="application/json",
-            headers=dict(headers or {}),
-        )
 
     @classmethod
     def text(

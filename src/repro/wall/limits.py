@@ -180,6 +180,18 @@ def domain_study(domain: str) -> CaseStudy:
     return memo(("wall.study", domain), _limits()[domain].study_factory)
 
 
+def _physical_limit(
+    row: DomainLimits,
+    model: CmosPotentialModel,
+    metric: str,
+    physical_metric: str,
+    base_physical: float,
+) -> float:
+    """*row*'s limit chip under *model*, over the baseline chip's
+    *base_physical*: the capability at which a wall reads its fits."""
+    return row.limit_chip(model, metric).metric(physical_metric) / base_physical
+
+
 @dataclass(frozen=True)
 class WallReport:
     """The accelerator wall for one domain and one metric."""
@@ -194,6 +206,31 @@ class WallReport:
     #: The (physical capability, gain in gain_unit) scatter both fits and
     #: ``current_best`` come from.
     points: Tuple[Tuple[float, float], ...]
+    #: The ``ChipGains`` metric the physical limit is measured in, and the
+    #: historical baseline chip's value of it (the limit's denominator).
+    physical_metric: str
+    base_physical: float
+
+    def at_limits(
+        self, row: DomainLimits, model: CmosPotentialModel
+    ) -> "WallReport":
+        """This wall read at *row*'s limit chip under *model*.
+
+        The scatter and its fits do not depend on the envelope, so a
+        what-if or sensitivity point evaluates one limit chip and keeps
+        them; only ``physical_limit`` moves.  Equal to
+        :func:`accelerator_wall` with ``limits_row=row, limit_model=model``.
+        """
+        if row.domain != self.domain:
+            raise ProjectionError(
+                f"limits row is for domain {row.domain!r}, not {self.domain!r}"
+            )
+        return replace(
+            self,
+            physical_limit=_physical_limit(
+                row, model, self.metric, self.physical_metric, self.base_physical
+            ),
+        )
 
     @property
     def projected_linear(self) -> float:
@@ -232,7 +269,9 @@ def accelerator_wall(
     """Project the accelerator wall for one domain (Figs 15-16).
 
     *metric* is ``"performance"`` or ``"efficiency"``; the physical limit
-    is :meth:`DomainLimits.limit_chip` over the baseline chip.
+    is :meth:`DomainLimits.limit_chip` over the baseline chip.  This is a
+    full evaluation (series, fits, limit chip); :meth:`WallReport.at_limits`
+    re-reads an evaluated wall at another envelope.
 
     *limits_row* replaces the Table V envelope for the limit-chip
     evaluation: a technology backend's envelope (e.g. chiplet's lifted
@@ -274,12 +313,15 @@ def accelerator_wall(
     base_measured = base_chip.metric(measured_metric)
     points = tuple((p.physical, p.gain * base_measured) for p in series)
 
-    limit_gains = row.limit_chip(
-        limit_model if limit_model is not None else cmos, metric
-    )
-    base_gains = cmos.evaluate_spec(base_chip.spec, capped=study.capped).gains
-    physical_limit = limit_gains.metric(physical_metric) / base_gains.metric(
-        physical_metric
+    base_physical = cmos.evaluate_spec(
+        base_chip.spec, capped=study.capped
+    ).gains.metric(physical_metric)
+    physical_limit = _physical_limit(
+        row,
+        limit_model if limit_model is not None else cmos,
+        metric,
+        physical_metric,
+        base_physical,
     )
 
     linear_fit, log_fit = fit_projections(points)
@@ -292,6 +334,8 @@ def accelerator_wall(
         linear_fit=linear_fit,
         log_fit=log_fit,
         points=points,
+        physical_metric=physical_metric,
+        base_physical=base_physical,
     )
 
 

@@ -40,23 +40,22 @@ def wall_sensitivity(
 ) -> List[SensitivityPoint]:
     """Sweep Table V assumptions for one domain.
 
-    Each point is the :func:`accelerator_wall` of the domain's Table V row
-    with its dies, TDP budget and clock scaled
+    Each point is the domain's wall read at its Table V row with the dies,
+    TDP budget and clock scaled
     (:meth:`~repro.wall.limits.DomainLimits.scaled`).  The frontier fits
-    depend only on the measured scatter, so every point fits the same
-    ones; only the physical-limit evaluation point moves.
+    depend only on the measured scatter, so the sweep evaluates one wall
+    and then one limit chip per point
+    (:meth:`~repro.wall.limits.WallReport.at_limits`).
     """
     cmos = model if model is not None else CmosPotentialModel.paper()
+    wall = accelerator_wall(domain, cmos, metric)
     row = domain_limits(domain)
     points: List[SensitivityPoint] = []
     for die_scale, tdp_scale, frequency_scale in itertools.product(
         die_scales, tdp_scales, frequency_scales
     ):
-        report = accelerator_wall(
-            domain,
-            cmos,
-            metric,
-            limits_row=row.scaled(die_scale, tdp_scale, frequency_scale),
+        report = wall.at_limits(
+            row.scaled(die_scale, tdp_scale, frequency_scale), cmos
         )
         low, high = report.headroom
         points.append(

@@ -226,6 +226,23 @@ class TestMacroGraph:
         with pytest.raises(ValueError):
             graph.schedule(0)
 
+    @pytest.mark.parametrize("abbrev", ["MDY", "AES"])
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_cycle_bound_is_a_lower_bound(self, large_kernels, abbrev, window, extra):
+        # Below saturation the busiest class's serial time can exceed the
+        # critical path; from saturation on the bound is the schedule.
+        graph = MacroGraph(large_kernels[abbrev].dfg, ResourceLibrary(), window)
+        tighter = 0
+        for partition in table3_partitions():
+            bound = graph.cycle_bound(partition, extra)
+            cycles = graph.schedule(partition, extra).cycles
+            assert graph.critical_path(extra) <= bound <= cycles
+            if partition >= graph.saturation:
+                assert bound == cycles
+            tighter += bound > graph.critical_path(extra)
+        assert tighter > 0
+
 
 class TestCacheIntegration:
     def test_shared_cache_with_scalar_path(self, kernel, grid):
@@ -504,6 +521,19 @@ def test_throughput_search_schedules_only_the_extra_zero_structures(abbrev):
     find_best_design(kernel, "throughput", cache=cache)
     partitions = {min(p, cache.partition_cap) for p in table3_partitions()}
     assert cache.memo_misses <= len(partitions)
+
+
+@pytest.mark.parametrize(
+    "abbrev, most", [("RED", 1), ("TRD", 1), ("MDY", 6), ("FFT", 6)]
+)
+def test_efficiency_search_schedules_few_structures(abbrev, most):
+    # Small partitions are slow on their busiest class long before their
+    # critical path says so; the cycle bound rules them out unscheduled.
+    # A critical-path bound alone schedules 20, 30, 32 and 26 here.
+    kernel = build_kernel(abbrev)
+    cache = ScheduleCache(kernel, ResourceLibrary())
+    find_best_design(kernel, "energy_efficiency", cache=cache)
+    assert cache.memo_misses <= most
 
 
 def test_attribution_rejects_an_empty_grid(kernel):

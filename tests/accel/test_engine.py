@@ -144,7 +144,7 @@ class TestStatsAccounting:
         # Per kernel: the grid points the pruned search evaluates exactly
         # (at most the grid) plus the 45nm baseline and the four
         # ablations, each one memo lookup and one design point.  The
-        # critical-path bound pass counts nothing.
+        # cycle-bound pass counts nothing.
         kernels = [trd.build(n=16), s3d.build()]
         partitions, simplifications = (1, 8, 64), (1, 5, 9, 13)
         engine = SweepEngine(jobs=jobs, use_cache=False)

@@ -11,7 +11,10 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import http.client
+import io
 import json
+import logging
+import re
 import socket
 from typing import List
 
@@ -21,7 +24,11 @@ from hypothesis import strategies as st
 
 from repro.provenance.drift import compare_golden, flatten_scalars
 from repro.provenance.manifest import SCHEMA_VERSION, RunLedger
+from repro.obs.log import ROOT_LOGGER, configure_logging
 from repro.serve import ServeApp, ServeConfig, ServerHandle
+from repro.serve.router import encode_json
+from repro.wall.limits import _limits
+from tests.serve.conftest import make_server
 
 #: Artifacts cheap enough to export inside a test; fig13 is the one that
 #: runs the sweep engine.
@@ -53,6 +60,25 @@ class TestProvenanceEnvelope:
         assert status == 404
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["data"]["status"] == 404
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"outer": {"list": [1, 2.5, None, True], "deep": [{"k": "v"}]}},
+            [0.1, 1e-300, 1.7976931348623157e308, -0.0, 3, 2.0 / 3.0],
+            {"text": "na\u00efve \u2603 \u03bcm", "\u043a\u043b\u044e\u0447": "\u00e9"},
+            {"error": "unknown artifact 'fig99'", "status": 404, "valid": ["a"]},
+            None,
+        ],
+        ids=["nested", "floats", "non-ascii", "error", "null"],
+    )
+    def test_envelope_head_splices_any_data(self, server, data):
+        app = server.app
+        text = json.dumps(data)
+        expected = json.dumps(app.envelope(data)) + "\n"
+        assert app._envelope_head + text.encode() + b"}\n" == expected.encode()
+        assert app.json_response(data).body == expected.encode()
+        assert app.json_response(text.encode()).body == expected.encode()
 
 
 class TestOperationalSurface:
@@ -437,6 +463,42 @@ class TestFiniteAnswersBuiltOncePerProcess:
             assert client.get(target)[0] == 200
             assert len(blocking_calls) == misses
 
+    def test_each_finite_answer_is_encoded_once(self, client, fresh_memo, monkeypatch):
+        import repro.serve.app as app_module
+        import repro.serve.handlers as handlers
+        from repro.memo import peek
+
+        encoded = []
+
+        def counting(value):
+            encoded.append(value)
+            return encode_json(value)
+
+        monkeypatch.setattr(app_module, "encode_json", counting)
+        monkeypatch.setattr(handlers, "encode_json", counting)
+        targets = (
+            "/artifacts/table5",
+            "/csr/video",
+            "/csr/video?tech=tfet",
+            "/wall/projections",
+            "/wall/projections?tech=tfet",
+        )
+        first = [client.get(target, raw=True)[1] for target in targets]
+        assert len(encoded) == len(targets)
+        for _ in range(3):
+            assert [client.get(target, raw=True)[1] for target in targets] == first
+        assert len(encoded) == len(targets)
+        # The memo holds each answer's data as text, without the envelope.
+        for key, body in (
+            (("serve.artifact", "table5"), first[0]),
+            (("serve.csr", "video"), first[1]),
+            (("serve.artifact", "fig15_16"), first[3]),
+            (("serve.wall_projections", "tfet"), first[4]),
+        ):
+            found, text = peek(key)
+            assert found and isinstance(text, bytes)
+            assert json.loads(text) == json.loads(body)["data"]
+
     def test_unknown_artifact_stores_nothing(self, client, fresh_memo):
         from repro.memo import peek
 
@@ -444,6 +506,58 @@ class TestFiniteAnswersBuiltOncePerProcess:
         assert status == 404
         assert "table5" in payload["data"]["valid_artifacts"]
         assert peek(("serve.artifact", "fig99")) == (False, None)
+
+
+class TestWhatIfReadsTheHeldWall:
+    """A what-if miss reads the process's memoized cmos wall at one
+    scaled limit chip: no series, no fits."""
+
+    @staticmethod
+    def _whatif(client, domain, metric, die, tdp, frequency):
+        status, payload, _ = client.post(
+            "/wall/whatif",
+            {
+                "domain": domain,
+                "metric": metric,
+                "die_scale": die,
+                "tdp_scale": tdp,
+                "frequency_scale": frequency,
+            },
+        )
+        assert status == 200
+        return payload["data"]
+
+    @pytest.mark.parametrize("metric", ["performance", "efficiency"])
+    @pytest.mark.parametrize("domain", sorted(_limits()))
+    def test_unit_scales_are_the_baseline(self, client, domain, metric):
+        data = self._whatif(client, domain, metric, 1.0, 1.0, 1.0)
+        assert data["scenario"] == data["baseline"]
+
+    def test_a_miss_fits_nothing(self, client, monkeypatch):
+        import repro.wall.limits as limits
+        from repro.cmos.model import CmosPotentialModel
+
+        # Scales no other test asks for, so each request is a cache miss.
+        for domain in sorted(_limits()):
+            for metric in ("performance", "efficiency"):
+                self._whatif(client, domain, metric, 1.125, 1.0, 1.0)
+        fits, chips = [], []
+        fit_projections = limits.fit_projections
+        evaluate = CmosPotentialModel.evaluate
+
+        def counting_fit(points):
+            fits.append(points)
+            return fit_projections(points)
+
+        def counting_evaluate(self, *args, **kwargs):
+            chips.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(limits, "fit_projections", counting_fit)
+        monkeypatch.setattr(CmosPotentialModel, "evaluate", counting_evaluate)
+        self._whatif(client, "gaming_graphics", "performance", 1.375, 0.625, 1.25)
+        assert fits == []
+        assert 1 <= len(chips) <= 2
 
 
 class TestBatchingEquivalence:
@@ -559,6 +673,139 @@ class TestRequestFraming:
 
 
 # -- transport --------------------------------------------------------------------
+
+
+def _read_requests(payload: bytes, count: int):
+    """*count* results of ``_read_request`` over *payload*, then EOF."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(payload)
+        reader.feed_eof()
+        app = ServeApp()
+        return [await app._read_request(reader, "peer") for _ in range(count)]
+
+    return asyncio.run(read())
+
+
+class TestRequestHead:
+    HEAD = b"GET /healthz HTTP/1.1\r\nHost: a\r\nX-Client-Id: c\r\nAccept: */*\r\n\r\n"
+
+    def test_one_timeout_per_request(self, monkeypatch):
+        timeouts = []
+        wait_for = asyncio.wait_for
+
+        async def counting(awaitable, timeout):
+            timeouts.append(timeout)
+            return await wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", counting)
+        results = _read_requests(self.HEAD * 3, 4)
+        assert [request.path for request, _ in results[:3]] == ["/healthz"] * 3
+        assert results[3] == (None, False)
+        assert len(timeouts) == 4
+
+    def test_newline_terminated_head_parses(self):
+        head = b"POST /evaluate?x=1 HTTP/1.1\nX-Client-Id: nl\nContent-Length: 2\n\n{}"
+        ((request, keep_alive),) = _read_requests(head, 1)
+        assert (request.method, request.path, request.query) == (
+            "POST", "/evaluate", {"x": "1"}
+        )
+        assert (request.client, request.body, keep_alive) == ("nl", b"{}", True)
+
+    def test_trickled_head_times_out(self, monkeypatch):
+        # One header line every 50 ms never idles a line for the 0.2 s
+        # timeout; the head as a whole must still end there.
+        import repro.serve.app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.2)
+
+        async def trickle(reader):
+            reader.feed_data(b"GET /healthz HTTP/1.1\r\n")
+            while True:
+                await asyncio.sleep(0.05)
+                reader.feed_data(b"X-Pad: 1\r\n")
+
+        async def read():
+            reader = asyncio.StreamReader()
+            feeder = asyncio.ensure_future(trickle(reader))
+            try:
+                return await asyncio.wait_for(
+                    ServeApp()._read_request(reader, "peer"), 10
+                )
+            finally:
+                feeder.cancel()
+
+        assert asyncio.run(read()) == (None, False)
+
+    def test_stalled_head_closes_the_connection(self, monkeypatch):
+        import repro.serve.app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.3)
+        handle = make_server()
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+                assert sock.recv(65536) == b""  # closed without a response
+        finally:
+            handle.stop()
+
+    def test_each_response_is_one_write(self, server):
+        class Writer:
+            def __init__(self):
+                self.writes: List[bytes] = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+            async def drain(self):
+                pass
+
+        writer = Writer()
+        response = server.app.json_response({"ok": True}, headers={"X-Extra": "1"})
+        asyncio.run(server.app._write_response(writer, response, close=False))
+        (sent,) = writer.writes
+        head, _, body = sent.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 200 OK"
+        assert b"Content-Length: %d" % len(response.body) in lines
+        assert b"Connection: keep-alive" in lines and b"X-Extra: 1" in lines
+        assert body == response.body
+
+
+class TestRequestLog:
+    @pytest.fixture
+    def log_stream(self):
+        stream = io.StringIO()
+        yield stream
+        root = logging.getLogger(ROOT_LOGGER)
+        for handler in list(root.handlers):
+            if handler.get_name() == "repro-obs":
+                root.removeHandler(handler)
+        root.setLevel(logging.NOTSET)
+
+    def test_request_line_at_info(self, client, log_stream):
+        configure_logging(1, stream=log_stream)
+        tid = "0af7651916cd43dd8448eb211c80319c"
+        client.get("/version", headers={"X-Trace-Id": tid})
+        (line,) = [
+            line for line in log_stream.getvalue().splitlines() if " request " in line
+        ]
+        assert re.fullmatch(
+            r" *[0-9.]+ms INFO    repro\.serve\.http request method=GET "
+            r"path=/version status=200 ms=[0-9.e+-]+ client=test "
+            rf"trace_id={tid}( run_id=\S+)?",
+            line,
+        ), line
+
+    def test_request_line_is_not_built_at_warning(self, client, log_stream, monkeypatch):
+        import repro.serve.app as app_module
+
+        built = []
+        monkeypatch.setattr(app_module, "kv", lambda **fields: built.append(fields) or "")
+        configure_logging(0, stream=log_stream)
+        assert client.get("/version")[0] == 200
+        assert built == [] and log_stream.getvalue() == ""
 
 
 def _shared_listener() -> socket.socket:

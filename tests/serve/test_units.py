@@ -423,5 +423,55 @@ class TestPrometheusRendering:
         )
 
     def test_response_reason_phrases(self):
-        assert Response.json({}, status=429).reason == "Too Many Requests"
-        assert Response.json({}, status=202).reason == "Accepted"
+        assert Response(status=429).reason == "Too Many Requests"
+        assert Response(status=202).reason == "Accepted"
+
+
+class TestComputeWhatif:
+    def test_equals_two_full_wall_evaluations_on_every_benchmark_key(self):
+        # The 288 what-if keys the serve_model benchmark draws: the baseline
+        # and the scaled point, each as an independent accelerator_wall.
+        import itertools
+        from types import SimpleNamespace
+
+        from repro.serve.handlers import compute_whatif
+        from repro.tech import get_backend
+        from repro.wall.limits import _limits, accelerator_wall
+
+        app = SimpleNamespace(model=get_backend("cmos").model())
+
+        def block(report):
+            low, high = report.headroom
+            return {
+                "physical_limit": report.physical_limit,
+                "headroom_low": low,
+                "headroom_high": high,
+            }
+
+        keys = 0
+        for domain, row in _limits().items():
+            for metric in ("performance", "efficiency"):
+                baseline = accelerator_wall(domain, app.model, metric)
+                for die, tdp, frequency in itertools.product(
+                    (0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0), (0.75, 1.0, 1.5)
+                ):
+                    point = accelerator_wall(
+                        domain, app.model, metric,
+                        limits_row=row.scaled(die, tdp, frequency),
+                    )
+                    params = {
+                        "domain": domain,
+                        "metric": metric,
+                        "die_scale": die,
+                        "tdp_scale": tdp,
+                        "frequency_scale": frequency,
+                    }
+                    assert compute_whatif(app, params) == {
+                        "domain": domain,
+                        "metric": metric,
+                        "scales": {"die": die, "tdp": tdp, "frequency": frequency},
+                        "baseline": block(baseline),
+                        "scenario": block(point),
+                    }
+                    keys += 1
+        assert keys == 288

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.wall.limits import _limits, accelerator_wall
+from repro.cmos.model import CmosPotentialModel
+from repro.errors import ProjectionError
+from repro.wall.limits import _limits, accelerator_wall, domain_limits
 from repro.wall.sensitivity import headroom_spread, wall_sensitivity
 
 
@@ -91,3 +93,57 @@ def test_point_is_the_wall_of_the_scaled_row(domain, metric, paper_model):
         )
         assert point.physical_limit == report.physical_limit
         assert (point.headroom_low, point.headroom_high) == report.headroom
+
+
+@pytest.mark.parametrize("tech", ("cmos", "tfet", "chiplet"))
+def test_at_limits_equals_the_full_evaluation(tech):
+    from repro.tech import get_backend
+
+    backend = get_backend(tech)
+    model = backend.model()
+    for domain, row in _limits().items():
+        for metric in ("performance", "efficiency"):
+            wall = accelerator_wall(domain, None, metric)
+            for candidate in backend.wall_limit_candidates(row):
+                scaled = candidate.scaled(2.0, 0.5, 1.5)
+                assert wall.at_limits(scaled, model) == accelerator_wall(
+                    domain, None, metric, limits_row=scaled, limit_model=model
+                )
+
+
+def test_at_limits_rejects_another_domains_row(paper_model):
+    wall = accelerator_wall("bitcoin_mining", paper_model)
+    with pytest.raises(ProjectionError, match="video_decoding"):
+        wall.at_limits(domain_limits("video_decoding"), paper_model)
+
+
+def test_sweep_fits_once_and_evaluates_one_limit_chip_per_point(
+    paper_model, monkeypatch
+):
+    import repro.wall.limits as limits
+
+    fits, chips = [], []
+    fit_projections = limits.fit_projections
+    evaluate = CmosPotentialModel.evaluate
+
+    def counting_fit(points):
+        fits.append(points)
+        return fit_projections(points)
+
+    def counting_evaluate(self, *args, **kwargs):
+        chips.append(args)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "fit_projections", counting_fit)
+    monkeypatch.setattr(CmosPotentialModel, "evaluate", counting_evaluate)
+    counts = []
+    for scales in ((1.0,), (0.5, 1.0, 2.0)):
+        fits.clear()
+        chips.clear()
+        wall_sensitivity(
+            "bitcoin_mining", paper_model, die_scales=scales, tdp_scales=scales
+        )
+        assert len(fits) == 1
+        counts.append(len(chips))
+    # The wall itself costs the same either way; each point adds one chip.
+    assert counts[1] - counts[0] == 9 - 1
