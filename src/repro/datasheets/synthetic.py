@@ -141,7 +141,7 @@ def synthetic_database(
                 tdp = (product / c_era) ** (1.0 / e_era) * math.exp(
                     rng.normal(0.0, config.tdp_noise_sigma)
                 )
-                tdp = float(np.clip(tdp, 5.0, 400.0))
+                tdp = min(max(tdp, 5.0), 400.0)
             else:
                 lo_t, hi_t = plan.tdp_w
                 tdp = math.exp(rng.uniform(math.log(lo_t), math.log(hi_t)))
@@ -158,9 +158,9 @@ def synthetic_database(
                     * node
                     * math.exp(rng.normal(0.0, config.tc_noise_sigma))
                 )
-                area = float(np.clip(area, 5.0, _MAX_AREA_MM2))
+                area = min(max(area, 5.0), _MAX_AREA_MM2)
             year = int(round(_NODE_YEAR[node] + rng.normal(0.0, 1.0)))
-            year = int(np.clip(year, 1998, 2030))
+            year = min(max(year, 1998), 2030)
             category = Category.GPU if is_gpu else Category.CPU
             chips.append(
                 ChipSpec(

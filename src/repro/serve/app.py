@@ -13,11 +13,23 @@ Request flow::
 
     connection -> parse -> rate limit -> route -> handler
                                           |          |
-                                          |          +-- run_blocking (thread pool)
+                                          |          +-- inline on the event loop (/cmos/gains)
                                           |          +-- memoized: process memo, miss -> run_blocking
-                                          |          +-- cached: response LRU, miss -> run_blocking
+                                          |          +-- cached: response LRU, miss -> the handler's
+                                          |          |   computation: inline (/evaluate, /wall/whatif)
+                                          |          |   or run_blocking (/attribute)
                                           |          +-- JobQueue (background sweeps)
                                           +-- 429 Too Many Requests
+
+Work runs where it costs least.  A computation shorter than a round trip
+through the thread pool runs on the event loop: a ``/cmos/gains`` answer
+and an ``/evaluate`` or ``/wall/whatif`` miss take 31 µs to a few ms,
+and up to a few tens of ms once per process (a kernel's first trace,
+the first what-if's wall build).  The pool (:meth:`ServeApp.run_blocking`) keeps
+only work that can run long: the first build of a finite answer, an
+``/attribute`` miss and sweep jobs.  Pure-Python work on a pool thread
+holds the GIL the loop waits for, so a hop costs more than it saves
+unless the work is long.
 
 Every JSON response is wrapped in the provenance envelope
 ``{"schema_version", "server": {run_id, git, version, ...}, "data"}`` so
@@ -51,7 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ValidationError
 from repro.memo import memo, peek
@@ -157,14 +169,14 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise ConnectionError("request line too long") from None
 
 
-async def _read_head(
+async def _read_message(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
-    """``(method, target, version, headers)`` of one request head, or
+) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
+    """``(method, target, version, headers, body)`` of one request, or
     ``None`` when the socket closed (or sent a blank line) before one began.
 
-    Lines may end in CRLF or a bare LF; malformed framing raises
-    :class:`ConnectionError`.
+    Lines may end in CRLF or a bare LF; malformed framing, or a body
+    longer than :data:`MAX_BODY_BYTES`, raises :class:`ConnectionError`.
     """
     line = await _read_line(reader)
     if not line.strip():
@@ -183,8 +195,15 @@ async def _read_head(
             break
         name, _, value = header_line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ConnectionError("malformed Content-Length")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise ConnectionError("request body too large")
+    body = await reader.readexactly(length) if length else b""
     method, target, http_version = parts
-    return method, target, http_version, headers
+    return method, target, http_version, headers, body
 
 
 class ServeApp:
@@ -274,11 +293,14 @@ class ServeApp:
     # -- state accessors used by handlers --------------------------------------
 
     async def run_blocking(self, fn: Callable[[], Any]) -> Any:
-        """Run blocking *fn* on the app's thread pool.
+        """Run *fn*, work that can run long, on the app's thread pool.
 
-        The caller's context is copied into the worker thread —
-        ``run_in_executor`` does not do that by itself — so spans opened
-        inside *fn* keep the request's trace id.
+        Only work that would stall the event loop goes here: a finite
+        answer's first build, an ``/attribute`` miss, a sweep job.  Shorter
+        work runs inline, because the hop and the wait for the GIL cost
+        more than it does.  The caller's context is copied into the worker
+        thread — ``run_in_executor`` does not do that by itself — so spans
+        opened inside *fn* keep the request's trace id.
         """
         loop = asyncio.get_event_loop()
         ctx = contextvars.copy_context()
@@ -396,20 +418,23 @@ class ServeApp:
             return value
         return await self.run_blocking(lambda: memo(key, build))
 
-    async def cached(self, key, fn: Callable[[], Any]) -> bytes:
+    async def cached(self, key, compute: Callable[[], Awaitable[Any]]) -> bytes:
         """The JSON text of canonical request *key*'s answer, from the
         response LRU.
 
         For keys drawn from open sets (request floats); finite keys go
-        through :meth:`memoized`.  A miss runs blocking *fn* on the thread
-        pool and stores the JSON text of its payload.  *fn* must be a pure
+        through :meth:`memoized`.  A miss awaits ``compute()`` and stores
+        the JSON text of the payload it returns.  A handler whose work is
+        short computes inline; one whose work can run long awaits
+        :meth:`run_blocking` inside *compute*.  The answer must be a pure
         function of *key*: concurrent misses on one key each compute and
-        store the same value.
+        store the same value.  The LRU is read and written on the event
+        loop only.
         """
         hit, value = self._response_cache.get(key)
         if hit:
             return value
-        value = await self.run_blocking(lambda: encode_json(fn()))
+        value = encode_json(await compute())
         self._response_cache.put(key, value)
         return value
 
@@ -744,28 +769,21 @@ class ServeApp:
         self, reader: asyncio.StreamReader, peer_host: str
     ) -> Tuple[Optional[Request], bool]:
         """Parse one request; ``(None, False)`` on a cleanly closed socket
-        or a head that does not complete within :data:`IDLE_TIMEOUT_S`.
+        or a request that does not arrive within :data:`IDLE_TIMEOUT_S`.
 
-        The whole head (request line and header lines) is read under one
-        timeout, so a client that trickles header lines cannot hold the
-        connection past it.  Malformed framing raises
-        :class:`ConnectionError`; either way the connection closes without
-        a response.
+        The whole request (request line, header lines and body) is read
+        under one timeout, so a client that trickles header lines or
+        stalls mid-body cannot hold the connection past it.  Malformed
+        framing raises :class:`ConnectionError`; either way the connection
+        closes without a response.
         """
         try:
-            head = await asyncio.wait_for(_read_head(reader), IDLE_TIMEOUT_S)
+            message = await asyncio.wait_for(_read_message(reader), IDLE_TIMEOUT_S)
         except asyncio.TimeoutError:
             return None, False
-        if head is None:
+        if message is None:
             return None, False
-        method, target, http_version, headers = head
-        raw_length = headers.get("content-length", "") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise ConnectionError("malformed Content-Length")
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
-        body = await reader.readexactly(length) if length else b""
+        method, target, http_version, headers, body = message
         try:
             path, query = Request.parse_target(target)
         except ValueError:  # urlsplit rejects e.g. an unclosed "[" host

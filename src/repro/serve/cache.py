@@ -2,10 +2,12 @@
 
 :class:`LruCache` is a bounded response cache keyed by the canonical
 request payload.  It holds only answers whose keys come from open sets
-(``/evaluate`` and ``/wall/whatif`` carry request floats); answers keyed
-by names from finite sets live in the process memo (:mod:`repro.memo`).
-Repeated identical queries (the common case for a dashboard polling the
-same what-if scenario) are answered without touching the model at all.
+(``/evaluate``, ``/wall/whatif`` and ``/attribute`` carry request
+floats); answers keyed by names from finite sets live in the process
+memo (:mod:`repro.memo`).  Repeated identical queries (a dashboard
+polling the same what-if scenario, a notebook re-asking one kernel's
+Fig 14 attribution) are answered without touching the model at all.
+The serving event loop is its only reader and writer.
 It sits *over* the persistent :class:`repro.accel.sweep.ScheduleCache`,
 which still de-duplicates the expensive scheduling work across
 distinct-but-structurally-equal design points on a miss.  Its traffic

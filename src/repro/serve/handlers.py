@@ -302,32 +302,26 @@ async def cmos_gains(app, request: Request) -> Dict[str, Any]:
     tdp = request.param_float("tdp_w", None)
     baseline_node = request.param_float("baseline_node", 45.0)
     backend = _tech_param(app, request)
-
-    def compute() -> Dict[str, Any]:
-        model = app.model if backend is None else backend.model()
-        gains = model.evaluate(node, frequency, area_mm2=area, tdp_w=tdp)
-        base = model.evaluate(
-            baseline_node, frequency, area_mm2=area, tdp_w=tdp
-        )
-        extra = {} if backend is None else {"tech": backend.name}
-        return {
-            **extra,
-            "node_nm": gains.node_nm,
-            "baseline_node_nm": base.node_nm,
-            "frequency_mhz": frequency,
-            "area_mm2": area,
-            "tdp_w": tdp,
-            "potential_transistors": gains.potential_transistors,
-            "active_transistors": gains.active_transistors,
-            "power_w": gains.power_w,
-            "tdp_limited": gains.tdp_limited,
-            "throughput_gain": gains.throughput / base.throughput,
-            "energy_efficiency_gain": (
-                gains.energy_efficiency / base.energy_efficiency
-            ),
-        }
-
-    return await app.run_blocking(compute)
+    # Two model evaluations (~31 µs): computed on the event loop, since a
+    # hop to the thread pool would cost more than the work.
+    model = app.model if backend is None else backend.model()
+    gains = model.evaluate(node, frequency, area_mm2=area, tdp_w=tdp)
+    base = model.evaluate(baseline_node, frequency, area_mm2=area, tdp_w=tdp)
+    extra = {} if backend is None else {"tech": backend.name}
+    return {
+        **extra,
+        "node_nm": gains.node_nm,
+        "baseline_node_nm": base.node_nm,
+        "frequency_mhz": frequency,
+        "area_mm2": area,
+        "tdp_w": tdp,
+        "potential_transistors": gains.potential_transistors,
+        "active_transistors": gains.active_transistors,
+        "power_w": gains.power_w,
+        "tdp_limited": gains.tdp_limited,
+        "throughput_gain": gains.throughput / base.throughput,
+        "energy_efficiency_gain": gains.energy_efficiency / base.energy_efficiency,
+    }
 
 
 # -- case-study CSR series (Eqs 1-2) ------------------------------------------
@@ -451,16 +445,21 @@ async def wall_whatif(app, request: Request) -> bytes:
         scales["die_scale"], scales["tdp_scale"], scales["frequency_scale"],
     )
     params = {"domain": domain, "metric": metric, **scales}
-    return await app.cached(key, lambda: compute_whatif(app, params))
+
+    async def compute() -> Dict[str, Any]:
+        return compute_whatif(app, params)
+
+    return await app.cached(key, compute)
 
 
 def compute_whatif(app, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Blocking what-if evaluation: the baseline wall read at one scaled
-    Table V row.
+    """One what-if, computed on the event loop: the baseline wall read at
+    one scaled Table V row.
 
     The baseline is the process's memoized cmos wall report, so a miss
     evaluates one limit chip and fits nothing
-    (:meth:`~repro.wall.limits.WallReport.at_limits`).
+    (:meth:`~repro.wall.limits.WallReport.at_limits`): 0.2-0.3 ms, and
+    about 10 ms for the first miss of a process, which builds the wall.
     """
     from repro.tech.scenarios import wall_reports
     from repro.wall.limits import domain_limits
@@ -536,18 +535,23 @@ async def evaluate(app, request: Request) -> bytes:
         params["partition"], params["simplification"], params["heterogeneity"],
     )
     item = {"workload": workload, **params}
-    return await app.cached(key, lambda: compute_evaluate(app, item))
+
+    async def compute() -> Dict[str, Any]:
+        return compute_evaluate(app, item)
+
+    return await app.cached(key, compute)
 
 
 def compute_evaluate(app, item: Mapping[str, Any]) -> Dict[str, Any]:
-    """Blocking evaluation of one design-point request.
+    """One design-point request, evaluated on the event loop.
 
     Runs on the workload's :meth:`ServeApp.batch_evaluator`, which shares
     the workload's schedule cache: design points with common structural
     parameters (partition, fusion window, pipeline latency) schedule once
-    per process.  The report is bit-identical to ``evaluate_design``; an
-    invalid design raises a :class:`~repro.errors.ReproError`, which
-    answers 400.
+    per process.  A point takes 0.13 ms to a few ms, and a kernel's
+    first point also traces it (AES: 15-36 ms), once per process.
+    The report is bit-identical to ``evaluate_design``; an invalid design
+    raises a :class:`~repro.errors.ReproError`, which answers 400.
     """
     from repro.accel.design import DesignPoint
 
@@ -579,11 +583,13 @@ def compute_evaluate(app, item: Mapping[str, Any]) -> Dict[str, Any]:
 compute_evaluate_batch = compute_evaluate
 
 
-async def attribute(app, request: Request) -> Dict[str, Any]:
+async def attribute(app, request: Request) -> bytes:
     """Fig 14 gain attribution for one workload.
 
     Body: ``{"workload": "FFT", "metric"?: "throughput", "node_nm"?: 5,
-    "baseline_node_nm"?: 45}``.  Runs over the full Table III grid.
+    "baseline_node_nm"?: 45}``.  Runs over the full Table III grid, on the
+    thread pool, because a miss can run long; answers come from the
+    response LRU when the same attribution was asked before.
     """
     body = request.json_object()
     workload = body.get("workload")
@@ -599,6 +605,7 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
         )
     node_nm = _number(body, "node_nm", 5.0)
     baseline_node_nm = _number(body, "baseline_node_nm", 45.0)
+    key = ("attribute", workload.upper(), metric, node_nm, baseline_node_nm)
 
     def compute() -> Dict[str, Any]:
         kernel = app.kernel(workload)
@@ -616,7 +623,7 @@ async def attribute(app, request: Request) -> Dict[str, Any]:
             "shares": attribution.shares,
         }
 
-    return await app.run_blocking(compute)
+    return await app.cached(key, lambda: app.run_blocking(compute))
 
 
 # -- background sweeps --------------------------------------------------------

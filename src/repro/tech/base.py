@@ -79,6 +79,16 @@ class TechBackend:
 
     def __init__(self, metadata: TechMetadata):
         self._metadata = metadata
+        # The parameters are fixed at construction, so they are hashed
+        # once: memo_key() runs on every model() call and every
+        # ``/csr?tech=`` request.
+        canonical = json.dumps(
+            {"name": metadata.name, "parameters": dict(metadata.parameters)},
+            sort_keys=True,
+            separators=(",", ":"),
+            default=str,
+        )
+        self._param_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @property
     def metadata(self) -> TechMetadata:
@@ -102,13 +112,7 @@ class TechBackend:
 
     def param_hash(self) -> str:
         """Content hash of the backend's parameter set (sha256 hex)."""
-        canonical = json.dumps(
-            {"name": self.name, "parameters": dict(self._metadata.parameters)},
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._param_hash
 
     def memo_key(self) -> Tuple[str, str]:
         """The backend's :mod:`repro.memo` key: name plus :meth:`param_hash`.

@@ -28,11 +28,25 @@ from repro.obs.log import ROOT_LOGGER, configure_logging
 from repro.serve import ServeApp, ServeConfig, ServerHandle
 from repro.serve.router import encode_json
 from repro.wall.limits import _limits
-from tests.serve.conftest import make_server
+from tests.serve.conftest import ServeClient, make_server
 
 #: Artifacts cheap enough to export inside a test; fig13 is the one that
 #: runs the sweep engine.
 PARITY_ARTIFACTS = ("fig1", "fig3d", "fig13", "fig15_16", "table5")
+
+
+@pytest.fixture
+def blocking_calls(server, monkeypatch):
+    """Every function the shared server sends to its thread pool."""
+    calls = []
+    run_blocking = server.app.run_blocking
+
+    async def counting(fn):
+        calls.append(fn)
+        return await run_blocking(fn)
+
+    monkeypatch.setattr(server.app, "run_blocking", counting)
+    return calls
 
 
 class TestProvenanceEnvelope:
@@ -389,18 +403,6 @@ class TestFiniteAnswersBuiltOncePerProcess:
 
         monkeypatch.setattr(repro.memo, "_VALUES", {})
 
-    @pytest.fixture
-    def blocking_calls(self, server, monkeypatch):
-        calls = []
-        run_blocking = server.app.run_blocking
-
-        async def counting(fn):
-            calls.append(fn)
-            return await run_blocking(fn)
-
-        monkeypatch.setattr(server.app, "run_blocking", counting)
-        return calls
-
     def test_app_model_is_the_cmos_backend_model(self, server):
         from repro.tech import get_backend
 
@@ -558,6 +560,89 @@ class TestWhatIfReadsTheHeldWall:
         self._whatif(client, "gaming_graphics", "performance", 1.375, 0.625, 1.25)
         assert fits == []
         assert 1 <= len(chips) <= 2
+
+
+class TestWorkRunsWhereItCostsLeast:
+    """Short computations run on the event loop; the thread pool keeps
+    only work that can run long, and ``/attribute`` answers are held in
+    the response LRU."""
+
+    ATTRIBUTE = {"workload": "GMM", "metric": "energy_efficiency", "node_nm": 7.0}
+
+    @pytest.fixture
+    def attributions(self, monkeypatch):
+        from repro.accel.engine import SweepEngine
+
+        calls = []
+        attribute_all = SweepEngine.attribute_all
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs)
+            return attribute_all(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "attribute_all", counting)
+        return calls
+
+    def test_short_misses_do_not_use_the_thread_pool(
+        self, client, blocking_calls, monkeypatch
+    ):
+        import repro.serve.handlers as handlers
+
+        domain = sorted(_limits())[0]
+        # Warm: the kernel is traced and the what-if wall is built.
+        assert client.post("/evaluate", {"workload": "KNN"})[0] == 200
+        assert client.post("/wall/whatif", {"domain": domain})[0] == 200
+        computed = []
+
+        def counted(name):
+            compute = getattr(handlers, name)
+            return lambda app, item: computed.append(name) or compute(app, item)
+
+        for name in ("compute_evaluate", "compute_whatif"):
+            monkeypatch.setattr(handlers, name, counted(name))
+        del blocking_calls[:]
+        # Points and scales no other test asks for, so each is a miss.
+        assert client.get("/cmos/gains?node=7&frequency_mhz=1234.5")[0] == 200
+        assert client.post(
+            "/evaluate",
+            {"workload": "KNN", "node_nm": 10.0, "partition": 16,
+             "simplification": 5, "heterogeneity": False},
+        )[0] == 200
+        assert client.post(
+            "/wall/whatif", {"domain": domain, "die_scale": 1.0625}
+        )[0] == 200
+        assert computed == ["compute_evaluate", "compute_whatif"]
+        assert blocking_calls == []
+
+    def test_attribute_miss_runs_on_the_pool_and_its_repeat_is_held(
+        self, client, blocking_calls, attributions
+    ):
+        status, first, _ = client.post("/attribute", self.ATTRIBUTE, raw=True)
+        assert status == 200
+        assert len(blocking_calls) == 1 and len(attributions) == 1
+        # The key is taken after validation: the abbreviation's case and
+        # an integral node do not make a new entry.
+        repeat = {**self.ATTRIBUTE, "workload": "gmm", "node_nm": 7}
+        for body in (self.ATTRIBUTE, repeat):
+            status, again, _ = client.post("/attribute", body, raw=True)
+            assert status == 200
+            assert again.partition('"data": ')[2] == first.partition('"data": ')[2]
+        assert len(blocking_calls) == 1 and len(attributions) == 1
+
+    def test_without_the_response_cache_every_attribute_computes(
+        self, attributions
+    ):
+        handle = make_server(response_cache=0)
+        try:
+            client = ServeClient(handle.port)
+            bodies = {
+                client.post("/attribute", {"workload": "RED"}, raw=True)[1]
+                for _ in range(3)
+            }
+        finally:
+            handle.stop()
+        assert len(bodies) == 1
+        assert len(attributions) == 3
 
 
 class TestBatchingEquivalence:
@@ -735,6 +820,22 @@ class TestRequestHead:
                 )
             finally:
                 feeder.cancel()
+
+        assert asyncio.run(read()) == (None, False)
+
+    def test_stalled_body_times_out(self, monkeypatch):
+        # A complete head whose body never finishes arriving is bounded by
+        # the same timeout as the head.
+        import repro.serve.app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.2)
+
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"POST /evaluate HTTP/1.1\r\nContent-Length: 10\r\n\r\n{")
+            return await asyncio.wait_for(
+                ServeApp()._read_request(reader, "peer"), 3
+            )
 
         assert asyncio.run(read()) == (None, False)
 

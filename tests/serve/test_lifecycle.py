@@ -259,28 +259,26 @@ class TestGracefulDrain:
         assert job.settled
 
     def test_inflight_request_completes_during_drain(self, monkeypatch):
-        from repro.serve import handlers
-
         handle = make_server()
         client = ServeClient(handle.port)
         app = handle.app
-        # Hold the request's model call on a gate until the drain began.
-        compute_evaluate = handlers.compute_evaluate
+        # Hold the request's attribution on a gate until the drain began.
+        # It runs on the thread pool; a gate on work that runs on the
+        # event loop would hold off the drain itself.
+        attribute_all = app.engine.attribute_all
         entered, release = threading.Event(), threading.Event()
 
-        def gated(app, item):
+        def gated(*args, **kwargs):
             entered.set()
             release.wait(60.0)
-            return compute_evaluate(app, item)
+            return attribute_all(*args, **kwargs)
 
-        monkeypatch.setattr(handlers, "compute_evaluate", gated)
+        monkeypatch.setattr(app.engine, "attribute_all", gated)
         results = {}
 
         def request():
             results["response"] = client.post(
-                "/evaluate",
-                {"workload": "SRT", "node_nm": 5.0, "partition": 128,
-                 "simplification": 11},
+                "/attribute", {"workload": "SRT", "metric": "energy_efficiency"}
             )
 
         thread = threading.Thread(target=request)
@@ -297,7 +295,7 @@ class TestGracefulDrain:
         assert not thread.is_alive() and not stopper.is_alive()
         status, payload, _ = results["response"]
         assert status == 200
-        assert payload["data"]["design"]["partition"] == 128
+        assert payload["data"]["metric"] == "energy_efficiency"
 
 
 class TestSignals:

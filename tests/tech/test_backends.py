@@ -67,6 +67,27 @@ class TestParamHash:
         hashes = {get_backend(name).param_hash() for name in BUILTINS}
         assert len(hashes) == len(BUILTINS)
 
+    def test_parameters_are_encoded_once_per_instance(self, monkeypatch):
+        import json
+        from types import SimpleNamespace
+
+        import repro.tech.base as base
+        from repro.tech import tfet_backend
+
+        encoded = []
+
+        def counting(*args, **kwargs):
+            encoded.append(args)
+            return json.dumps(*args, **kwargs)
+
+        monkeypatch.setattr(base, "json", SimpleNamespace(dumps=counting))
+        backend = tfet_backend()
+        first = backend.memo_key()
+        assert backend.memo_key() == first
+        assert len(encoded) == 1
+        assert first == ("tfet", backend.param_hash())
+        assert len(encoded) == 1
+
     def test_hash_tracks_parameter_content(self):
         a = derived_backend(
             "probe", "Probe", "d", "s", DeviceParams(dynamic_energy_scale=0.5)
