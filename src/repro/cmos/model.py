@@ -23,6 +23,7 @@ from repro.cmos.transistors import (
     TransistorCountFit,
     fit_transistor_count,
 )
+from repro.memo import memo
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datasheets.database import ChipDatabase
@@ -72,10 +73,14 @@ class CmosPotentialModel:
 
     @classmethod
     def reference(cls) -> "CmosPotentialModel":
-        """Model fitted over the library's default chip population."""
+        """The CMOS model fitted over the library's default chip population,
+        fitted once per process (:mod:`repro.memo`)."""
         from repro.datasheets.reference import reference_database
 
-        return cls.from_database(reference_database())
+        return memo(
+            ("cmos.reference",),
+            lambda: CmosPotentialModel.from_database(reference_database()),
+        )
 
     # -- component access ----------------------------------------------------
 

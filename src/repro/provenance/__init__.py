@@ -7,7 +7,7 @@ since the last run.  Three cooperating modules:
 
 * :mod:`repro.provenance.manifest` — a versioned :class:`RunManifest`
   (git SHA + dirty flag, interpreter/numpy/platform versions, CLI argv,
-  model-parameter and input-datasheet content hashes, wall-clock, the
+  model-parameter and input-dataset content hashes, wall-clock, the
   observability layer's metrics snapshot and per-stage self-time table)
   stamped into every exported artifact and persisted by the append-only
   :class:`RunLedger` as ``runs/<run_id>/manifest.json``.
@@ -18,46 +18,8 @@ since the last run.  Three cooperating modules:
   :data:`SCHEMA_VERSION` with a ``ValidationError``.
 * :mod:`repro.provenance.report` — renders a single-run summary or a
   two-run drift report as markdown/HTML (the ``repro report`` command).
+
+Import from the module you need: the package re-exports nothing, so a
+run that only captures a manifest never loads the comparator or the
+renderer.
 """
-
-from repro.provenance.drift import (
-    DriftReport,
-    PerfFlag,
-    QuantityDrift,
-    Tolerance,
-    compare_bench_entries,
-    compare_runs,
-    golden_numbers,
-)
-from repro.provenance.manifest import (
-    SCHEMA_VERSION,
-    RunLedger,
-    RunManifest,
-    capture,
-    default_runs_dir,
-)
-from repro.provenance.report import (
-    format_drift_report,
-    format_run_report,
-    render_html,
-    render_markdown,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "DriftReport",
-    "PerfFlag",
-    "QuantityDrift",
-    "RunLedger",
-    "RunManifest",
-    "Tolerance",
-    "capture",
-    "compare_bench_entries",
-    "compare_runs",
-    "default_runs_dir",
-    "format_drift_report",
-    "format_run_report",
-    "golden_numbers",
-    "render_html",
-    "render_markdown",
-]

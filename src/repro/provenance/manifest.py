@@ -3,7 +3,8 @@
 A :class:`RunManifest` answers "which code, config, inputs, and timings
 produced this artifact?" for one CLI/benchmark invocation: git SHA and
 dirty flag, interpreter/numpy/platform versions, the CLI argv, content
-hashes of the model configuration and every input datasheet population,
+hashes of the model configuration and of every input dataset (the
+reference datasheet population by what it is generated from),
 wall-clock, the metrics snapshot and per-stage self-time table from the
 observability layer, engine/cache statistics, golden-number scalars, and
 (for ``repro check``) per-check outcomes.
@@ -142,24 +143,17 @@ def model_fingerprint(model=None) -> str:
     return _digest(parts)
 
 
-def _database_fingerprint() -> str:
-    from repro.datasheets.reference import reference_database
-
-    parts = []
-    for spec in reference_database():
-        parts.append(
-            f"{spec.name}|{spec.category.value}|{spec.node_nm!r}"
-            f"|{spec.frequency_mhz!r}|{spec.tdp_w!r}|{spec.area_mm2!r}"
-            f"|{spec.transistors!r}|{spec.year!r}"
-        )
-    return _digest(parts)
-
-
 def input_fingerprints() -> Dict[str, str]:
-    """Content hash per input dataset: the fit population and each study."""
+    """Content hash per input dataset: the fit population and each study.
+
+    The fit population is hashed by what it is generated from
+    (:func:`repro.datasheets.reference.reference_fingerprint`), so a run
+    that never refits never generates it.
+    """
+    from repro.datasheets.reference import reference_fingerprint
     from repro.studies import STUDIES, named_study
 
-    hashes = {"reference_database": _database_fingerprint()}
+    hashes = {"reference_database": reference_fingerprint()}
     for name in STUDIES:
         study = named_study(name)
         hashes[f"study:{study.name}"] = study.fingerprint()

@@ -113,16 +113,12 @@ class Supervisor:
     def _warm() -> None:
         """Compute what a worker's startup and first requests read."""
         from repro.accel.engine import SweepEngine
-        from repro.provenance.manifest import input_fingerprints
         from repro.serve.app import served_kernel
         from repro.tech import backend_names
         from repro.tech.scenarios import wall_reports
         from repro.workloads import get_workload
 
         start = time.monotonic()
-        # Also fills reference_database()'s cache: the manifest capture in
-        # ServeApp.startup reads both.
-        input_fingerprints()
         engine = SweepEngine()
         for abbrev in WARM_WORKLOADS:
             served_kernel(get_workload(abbrev), engine)
@@ -445,6 +441,8 @@ class SupervisorHandle:
             code = self.proc.wait(10.0)
         if self._reader is not None:
             self._reader.join(5.0)
+            if not self._reader.is_alive():  # never close under a live reader
+                self.proc.stdout.close()
         return code
 
     @property

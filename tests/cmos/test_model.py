@@ -1,5 +1,8 @@
 """Unit tests for the CmosPotentialModel facade."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cmos.model import CmosPotentialModel
@@ -34,6 +37,28 @@ class TestConstruction:
     def test_reference_constructor(self):
         model = CmosPotentialModel.reference()
         assert model.density_fit.n_points > 1000
+
+    def test_reference_is_fitted_once_per_process(self):
+        # A fresh process, so the count starts from nothing refitted.
+        code = """
+import repro.cmos.model as model
+
+fits = []
+fit_transistor_count = model.fit_transistor_count
+
+def counted(database):
+    fits.append(database)
+    return fit_transistor_count(database)
+
+model.fit_transistor_count = counted
+first = model.CmosPotentialModel.reference()
+assert model.CmosPotentialModel.reference() is first
+assert len(fits) == 1, len(fits)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestEvaluateSpec:

@@ -1,7 +1,11 @@
 """Tests for the curated seed and the synthetic population generator."""
 
+import dataclasses
+import functools
+
 import pytest
 
+from repro.datasheets import curated, reference, synthetic
 from repro.datasheets.schema import Category
 from repro.datasheets.synthetic import (
     SyntheticPopulationConfig,
@@ -124,3 +128,50 @@ class TestReference:
     def test_reference_contains_curated_and_synthetic(self, reference_db):
         sources = {c.source for c in reference_db}
         assert sources == {"curated", "synthetic"}
+
+
+def _one_curated_row(monkeypatch):
+    first = dataclasses.replace(curated._CPUS[0], tdp_w=curated._CPUS[0].tdp_w + 1)
+    monkeypatch.setattr(curated, "_CPUS", (first,) + curated._CPUS[1:])
+
+
+def _one_config_field(monkeypatch):
+    seed = SyntheticPopulationConfig().seed + 1
+    monkeypatch.setattr(
+        reference,
+        "SyntheticPopulationConfig",
+        functools.partial(SyntheticPopulationConfig, seed=seed),
+    )
+
+
+def _one_era_plan(monkeypatch):
+    plans = synthetic._ERA_PLANS
+    last = dataclasses.replace(plans[-1], tdp_w=(30, 801))
+    monkeypatch.setattr(synthetic, "_ERA_PLANS", plans[:-1] + (last,))
+
+
+def _one_node_year(monkeypatch):
+    monkeypatch.setitem(synthetic._NODE_YEAR, 5, synthetic._NODE_YEAR[5] + 0.5)
+
+
+def _reticle_limit(monkeypatch):
+    monkeypatch.setattr(synthetic, "_MAX_AREA_MM2", synthetic._MAX_AREA_MM2 + 1)
+
+
+class TestReferenceFingerprint:
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            _one_curated_row,
+            _one_config_field,
+            _one_era_plan,
+            _one_node_year,
+            _reticle_limit,
+        ],
+    )
+    def test_follows_every_generator_input(self, monkeypatch, perturb):
+        before = reference.reference_fingerprint()
+        perturb(monkeypatch)
+        assert reference.reference_fingerprint() != before
+        monkeypatch.undo()
+        assert reference.reference_fingerprint() == before

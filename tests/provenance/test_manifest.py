@@ -1,6 +1,8 @@
 """Tests for run manifests and the append-only run ledger."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +87,30 @@ class TestCapture:
 
     def test_input_fingerprints_stable(self):
         assert input_fingerprints() == input_fingerprints()
+
+    def test_capture_never_generates_the_population(self):
+        # A fresh process, so no earlier test has built the population
+        # for it: capture must hash the population's inputs, not its chips.
+        code = """
+import repro.datasheets.reference as reference
+import repro.datasheets.synthetic as synthetic
+
+def generated(*args, **kwargs):
+    raise AssertionError("the datasheet population was generated")
+
+reference.synthetic_database = generated
+synthetic.synthetic_database = generated
+
+from repro.provenance.manifest import capture, input_fingerprints
+
+hashes = input_fingerprints()
+assert capture("export", argv=[]).input_hashes == hashes
+assert len(hashes["reference_database"]) == 64
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRoundTrip:

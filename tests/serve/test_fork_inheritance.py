@@ -4,6 +4,10 @@
 requests read before it forks the first worker.  A child forked after
 it must boot and answer from that inherited state alone, so the child
 below makes every builder of that state raise.
+
+It also makes the datasheet population's generator raise: neither the
+supervisor nor a worker refits, so a worker never generates the
+population, not even for the provenance hash its startup records.
 """
 
 from __future__ import annotations

@@ -345,3 +345,4 @@ class TestShutdown:
         # Must run last in this module: it tears the shared cluster down.
         assert cluster.stop() == 0
         assert "drained, bye" in cluster.output
+        assert cluster.proc.stdout.closed
