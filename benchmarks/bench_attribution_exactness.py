@@ -72,7 +72,7 @@ def test_pruned_attribution_matches_full_scan(benchmark):
                         metric,
                         node_nm=node_nm,
                         baseline_node_nm=baseline_node_nm,
-                        cache=pruned_cache,
+                        batch=BatchEvaluator(kernel, cache=pruned_cache),
                     )
                     reference = full_scan(
                         kernel, metric, node_nm, baseline_node_nm, full_cache

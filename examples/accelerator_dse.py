@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 from repro.accel.attribution import attribute_gains
+from repro.accel.batch import BatchEvaluator
 from repro.accel.engine import SweepEngine
 from repro.accel.sweep import default_design_grid
 from repro.dfg.analysis import analyze
@@ -58,11 +59,12 @@ def main() -> None:
     best = result.best_energy_efficiency()
     print(f"\nbest energy efficiency: {best.design.describe()}")
 
-    # Fig 14: who gets credit for the gains.  One persistent-backed
-    # schedule cache serves both metrics (and later reruns).
-    schedule_cache = engine.schedule_cache(kernel)
+    # Fig 14: who gets credit for the gains.  One evaluator over the
+    # persistent-backed schedule cache serves both metrics (and later
+    # reruns).
+    batch = BatchEvaluator(kernel, cache=engine.schedule_cache(kernel))
     for metric in ("throughput", "energy_efficiency"):
-        attribution = attribute_gains(kernel, metric=metric, cache=schedule_cache)
+        attribution = attribute_gains(kernel, metric=metric, batch=batch)
         shares = ", ".join(
             f"{concept} {share:.0f}%"
             for concept, share in sorted(

@@ -8,9 +8,10 @@ runtime, power, and energy.  Sweeping design points reproduces Fig 13, and
 ablating one specialization concept at a time attributes gains (Fig 14).
 
 :class:`SweepEngine` is the one executor of those sweeps and attributions
-(:func:`sweep` and :func:`attribute_all` wrap it).  Grids evaluate through
-the batch path (:mod:`repro.accel.batch`), bit-identical to the per-point
-:func:`evaluate_design` oracle; ``jobs`` shards the work across worker
+(:func:`sweep` and :func:`attribute_all` wrap it); a caller that keeps one
+evaluator per kernel passes it to :func:`attribute_gains`.  Grids evaluate
+through the batch path (:mod:`repro.accel.batch`), bit-identical to the
+per-point :func:`evaluate_design` oracle; ``jobs`` shards the work across worker
 processes, and an opt-in content-addressed schedule/trace cache
 (:mod:`repro.accel.cache`) persists it across runs.
 """

@@ -20,10 +20,12 @@ Fig 14 CSR is low).
 
 Every evaluation — the best-design search, the 45nm baseline and the four
 ablations — runs through one :class:`repro.accel.batch.BatchEvaluator`
-over one shared :class:`~repro.accel.sweep.ScheduleCache`, so each window's
-macro DAG is built once, each unique structure is scheduled at most once,
-and the power model is a numpy broadcast.  The search first prices the
-whole grid at a lower bound of each structure's cycles
+(the caller's, or a fresh one), so each window's macro DAG is built once,
+each unique structure is scheduled at most once, and the power model is
+a numpy broadcast.  A caller that keeps one evaluator per kernel (``repro
+serve`` does, for ``/evaluate`` and ``/attribute``) also reuses what
+earlier calls scheduled.  The search first prices the whole grid at a
+lower bound of each structure's cycles
 (:meth:`~repro.accel.batch.BatchEvaluator.bound`, no scheduling), then
 evaluates exactly, group by group of equal bound, only the points that
 can still beat or tie the best found; the baseline and ablations are one
@@ -42,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.accel.batch import BatchEvaluator
 from repro.accel.design import DesignPoint, baseline_design
 from repro.accel.power import PowerReport
-from repro.accel.resources import ResourceLibrary
-from repro.accel.sweep import ScheduleCache, default_design_grid
+from repro.accel.sweep import default_design_grid
 from repro.accel.trace import TracedKernel
 from repro.errors import ValidationError
 from repro.obs.log import get_logger, kv
@@ -143,31 +144,39 @@ def _best_report(
     return best
 
 
+def _evaluator(kernel: TracedKernel, batch: Optional[BatchEvaluator]) -> BatchEvaluator:
+    """*batch*, or a fresh evaluator of *kernel*; another kernel's is a
+    ``ValueError``."""
+    if batch is None:
+        return BatchEvaluator(kernel)
+    if batch.kernel is not kernel:
+        raise ValueError(
+            f"batch evaluates kernel {batch.kernel.name!r}, not {kernel.name!r}"
+        )
+    return batch
+
+
 def find_best_design(
     kernel: TracedKernel,
     metric: str,
     node_nm: float = 5.0,
-    library: Optional[ResourceLibrary] = None,
     partitions: Optional[Sequence[int]] = None,
     simplifications: Optional[Sequence[int]] = None,
-    cache: Optional[ScheduleCache] = None,
+    batch: Optional[BatchEvaluator] = None,
 ) -> Tuple[DesignPoint, PowerReport]:
     """Grid-search the best design for *metric* at *node_nm*.
 
     The first design in grid order with the greatest *metric* wins, as in
     a full scan, but only the points whose cycle bound can still win are
     scheduled (:func:`_best_report`).  An empty grid is a
-    :class:`~repro.errors.ValidationError`.  *cache* lets callers share
-    one (possibly persistent-backed) :class:`ScheduleCache` across the
-    search and later ablations; it carries its own library, and a
-    different *library* beside it is a ``ValueError``.
+    :class:`~repro.errors.ValidationError`.  The search runs on *batch*,
+    an evaluator of *kernel* (another kernel's is a ``ValueError``), so
+    callers can share its library, its (possibly persistent-backed)
+    :class:`~repro.accel.sweep.ScheduleCache` and its macro graphs with
+    later calls; by default a fresh one is used.
     """
     report = _best_report(
-        BatchEvaluator(kernel, library, cache),
-        metric,
-        node_nm,
-        partitions,
-        simplifications,
+        _evaluator(kernel, batch), metric, node_nm, partitions, simplifications
     )
     return report.design, report
 
@@ -177,21 +186,23 @@ def attribute_gains(
     metric: str = "throughput",
     node_nm: float = 5.0,
     baseline_node_nm: float = 45.0,
-    library: Optional[ResourceLibrary] = None,
     partitions: Optional[Sequence[int]] = None,
     simplifications: Optional[Sequence[int]] = None,
-    cache: Optional[ScheduleCache] = None,
+    batch: Optional[BatchEvaluator] = None,
 ) -> GainAttribution:
     """Compute the Fig 14 attribution for one kernel.
 
     *partitions*/*simplifications* default to the full Table III ranges;
-    tests pass reduced ranges for speed.  One :class:`BatchEvaluator` over
-    *cache* (optionally backed by the persistent store) runs the pruned
-    best-design search and one batched evaluation of the baseline and the
-    four ablations, so every point evaluated exactly is one memo lookup;
-    by default a fresh in-memory cache is used.
+    tests pass reduced ranges for speed.  The pruned best-design search
+    and one batched evaluation of the baseline and the four ablations run
+    on *batch*, an evaluator of *kernel* (another kernel's is a
+    ``ValueError``): every point evaluated exactly counts once in its
+    schedule cache's memo counters, and a structure it resolved before is
+    not scheduled again.  By default a fresh evaluator with an in-memory
+    cache is used.  Threads may share one evaluator; each of its calls
+    holds its lock (:class:`~repro.accel.batch.BatchEvaluator`).
     """
-    batch = BatchEvaluator(kernel, library, cache)
+    batch = _evaluator(kernel, batch)
     with span("attribute", kernel=kernel.name, metric=metric):
         best_report = _best_report(
             batch, metric, node_nm, partitions, simplifications

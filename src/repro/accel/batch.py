@@ -54,6 +54,7 @@ asserts it on a reference grid.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -400,6 +401,15 @@ class BatchEvaluator:
     scheduling them and counts nothing, so the pruned Fig 14 search
     (:func:`repro.accel.attribution.find_best_design`) counts only the
     points it evaluates exactly.
+
+    Threads may share one evaluator: ``repro serve`` keeps one per kernel
+    for ``/evaluate`` on the event loop and ``/attribute`` on its thread
+    pool.  :meth:`evaluate` and :meth:`bound` are the only entry points
+    that write its tables and its cache's counters, and each holds one
+    lock for the whole call.  Without it another thread's rows, resolved
+    between this call's ``len(self._struct_rows)`` reads, would skew the
+    coalesced-hit count, even below zero.  Nothing re-enters either
+    method, so the lock is a plain ``threading.Lock``.
     """
 
     def __init__(
@@ -433,6 +443,7 @@ class BatchEvaluator:
         ]
         # Per-structure scalars derived from resolved Schedules.
         self._struct_rows: Dict[Tuple[int, int, int], _StructureRow] = {}
+        self._lock = threading.Lock()
 
     def macro_graph(self, fusion_window: int) -> MacroGraph:
         graph = self._graphs.get(fusion_window)
@@ -600,7 +611,7 @@ class BatchEvaluator:
         n = len(design_list)
         if n == 0:
             return _empty_result(self.kernel.name)
-        with span("batch.evaluate", points=n):
+        with self._lock, span("batch.evaluate", points=n):
             # Resolve every unique structure once (memo -> store -> fast
             # scheduler).  A structure resolved by an earlier call skips
             # the cache lookup, so every point but one per newly resolved
@@ -634,5 +645,5 @@ class BatchEvaluator:
         design_list = tuple(designs)
         if not design_list:
             return _empty_result(self.kernel.name)
-        with span("batch.bound", points=len(design_list)):
+        with self._lock, span("batch.bound", points=len(design_list)):
             return self._columns(design_list, self._bound_row)

@@ -2,8 +2,11 @@
 
 :class:`SweepEngine` is the one executor of the Fig 13/14 pipeline:
 :func:`repro.accel.sweep.sweep`, :func:`repro.accel.attribution.attribute_all`,
-the figure builders, the CLI and the server all run their sweeps and gain
-attributions through it.
+the figure builders, the CLI and the server's sweep jobs all run their
+sweeps and gain attributions through it.  The server's ``/evaluate`` and
+``/attribute`` instead run on one long-lived
+:class:`~repro.accel.batch.BatchEvaluator` per kernel, whose schedule
+cache :meth:`SweepEngine.schedule_cache` builds.
 
 * **Batch evaluation** — a grid evaluates through
   :class:`~repro.accel.batch.BatchEvaluator` (one schedule per unique
@@ -163,17 +166,17 @@ def _attribute_kernel_task(
     if trace_spans is not None:
         _init_worker_tracer(trace_spans)
     lib = library if library is not None else ResourceLibrary()
-    cache = _schedule_cache(kernel, lib, cache_dir)
+    batch = BatchEvaluator(kernel, cache=_schedule_cache(kernel, lib, cache_dir))
     attribution = attribute_gains(
         kernel,
         metric=metric,
         node_nm=node_nm,
         baseline_node_nm=baseline_node_nm,
-        library=lib,
         partitions=partitions,
         simplifications=simplifications,
-        cache=cache,
+        batch=batch,
     )
+    cache = batch.cache
     counters = cache.counters()
     # Every exact evaluation, the 45nm baseline included, is one memo
     # lookup; the search's cycle-bound pass makes none.

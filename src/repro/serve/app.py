@@ -329,10 +329,13 @@ class ServeApp:
         return served_kernel(self.workload(abbrev), self.engine)
 
     def batch_evaluator(self, abbrev: str):
-        """Per-workload :class:`BatchEvaluator` behind ``/evaluate``.
+        """Per-workload :class:`BatchEvaluator` behind ``/evaluate`` and
+        ``/attribute``.
 
         Its schedule memo, macro graphs and scale tables amortize across
-        every request of the process lifetime.
+        every request of either endpoint for the process lifetime.  The
+        event loop (``/evaluate``) and pool threads (``/attribute``) share
+        it; its lock serializes their calls.
         """
         from repro.accel.batch import BatchEvaluator
 
@@ -772,15 +775,25 @@ class ServeApp:
         or a request that does not arrive within :data:`IDLE_TIMEOUT_S`.
 
         The whole request (request line, header lines and body) is read
-        under one timeout, so a client that trickles header lines or
-        stalls mid-body cannot hold the connection past it.  Malformed
-        framing raises :class:`ConnectionError`; either way the connection
-        closes without a response.
+        under one deadline, so a client that trickles header lines or
+        stalls mid-body cannot hold the connection past it.  The deadline
+        is one loop timer that fails the stream reader with
+        :class:`asyncio.TimeoutError`, cancelled once the read ends: no
+        task per request, as ``asyncio.wait_for`` would create, and it
+        works on Python 3.9, which ``asyncio.timeout`` does not.  A
+        drain's cancellation still arrives as ``CancelledError``.
+        Malformed framing raises :class:`ConnectionError`; either way the
+        connection closes without a response.
         """
+        timer = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT_S, reader.set_exception, asyncio.TimeoutError()
+        )
         try:
-            message = await asyncio.wait_for(_read_message(reader), IDLE_TIMEOUT_S)
+            message = await _read_message(reader)
         except asyncio.TimeoutError:
             return None, False
+        finally:
+            timer.cancel()
         if message is None:
             return None, False
         method, target, http_version, headers, body = message

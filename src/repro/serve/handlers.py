@@ -589,7 +589,10 @@ async def attribute(app, request: Request) -> bytes:
     Body: ``{"workload": "FFT", "metric"?: "throughput", "node_nm"?: 5,
     "baseline_node_nm"?: 45}``.  Runs over the full Table III grid, on the
     thread pool, because a miss can run long; answers come from the
-    response LRU when the same attribution was asked before.
+    response LRU when the same attribution was asked before.  A miss
+    searches on the workload's :meth:`ServeApp.batch_evaluator`, the one
+    behind ``/evaluate``, so it reuses the macro graphs and schedules
+    that earlier requests of either endpoint resolved.
     """
     body = request.json_object()
     workload = body.get("workload")
@@ -608,12 +611,15 @@ async def attribute(app, request: Request) -> bytes:
     key = ("attribute", workload.upper(), metric, node_nm, baseline_node_nm)
 
     def compute() -> Dict[str, Any]:
+        from repro.accel.attribution import attribute_gains
+
         kernel = app.kernel(workload)
-        (attribution,) = app.engine.attribute_all(
-            [kernel],
-            metric=metric,
+        attribution = attribute_gains(
+            kernel,
+            metric,
             node_nm=node_nm,
             baseline_node_nm=baseline_node_nm,
+            batch=app.batch_evaluator(workload),
         )
         return {
             "workload": kernel.name,

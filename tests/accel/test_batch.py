@@ -11,6 +11,8 @@ attribution against its per-point oracle loop.
 """
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -517,8 +519,9 @@ def test_throughput_search_schedules_only_the_extra_zero_structures(abbrev):
     # structure per distinct (capped) partition and nothing else.  A full
     # scan schedules five times as many: extras 0 to 4.
     kernel = build_kernel(abbrev)
-    cache = ScheduleCache(kernel, ResourceLibrary())
-    find_best_design(kernel, "throughput", cache=cache)
+    batch = BatchEvaluator(kernel)
+    find_best_design(kernel, "throughput", batch=batch)
+    cache = batch.cache
     partitions = {min(p, cache.partition_cap) for p in table3_partitions()}
     assert cache.memo_misses <= len(partitions)
 
@@ -531,14 +534,88 @@ def test_efficiency_search_schedules_few_structures(abbrev, most):
     # critical path says so; the cycle bound rules them out unscheduled.
     # A critical-path bound alone schedules 20, 30, 32 and 26 here.
     kernel = build_kernel(abbrev)
-    cache = ScheduleCache(kernel, ResourceLibrary())
-    find_best_design(kernel, "energy_efficiency", cache=cache)
-    assert cache.memo_misses <= most
+    batch = BatchEvaluator(kernel)
+    find_best_design(kernel, "energy_efficiency", batch=batch)
+    assert batch.cache.memo_misses <= most
 
 
 def test_attribution_rejects_an_empty_grid(kernel):
     with pytest.raises(ValidationError, match="non-empty grid"):
         attribute_gains(kernel, partitions=[])
+
+
+def test_attribution_rejects_another_kernels_evaluator(kernel):
+    other = build_kernel("RED")
+    with pytest.raises(ValueError, match="kernel .red."):
+        attribute_gains(kernel, batch=BatchEvaluator(other))
+    with pytest.raises(ValueError, match="kernel .red."):
+        find_best_design(kernel, "throughput", batch=BatchEvaluator(other))
+
+
+#: Only turns a hang into a failure; nothing here is timed.
+HANG_GUARD_S = 120
+
+
+class TestSharedEvaluator:
+    """Threads sharing one evaluator, as serve's event loop (``/evaluate``)
+    and thread pool (``/attribute``) do, get the serial answers and exact
+    memo counts."""
+
+    #: Every ninth Table III point, evaluated one request at a time.
+    POINTS = default_design_grid()[::9]
+
+    def test_two_threads_share_one_evaluator(self):
+        kernel = build_kernel("S3D")
+        shared = BatchEvaluator(kernel)
+        attributions, reports, errors = {}, [], []
+        start = threading.Barrier(2, timeout=HANG_GUARD_S)
+
+        def attribute():
+            start.wait()
+            try:
+                for metric in METRIC_FIELD:
+                    attributions[metric] = attribute_gains(
+                        kernel, metric, batch=shared
+                    )
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def evaluate():
+            start.wait()
+            try:
+                for design in self.POINTS:
+                    reports.extend(shared.evaluate([design]).reports())
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for run in (attribute, evaluate)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(HANG_GUARD_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        serial = BatchEvaluator(kernel)
+        expected = {
+            metric: attribute_gains(kernel, metric, batch=serial)
+            for metric in METRIC_FIELD
+        }
+        searched = serial.cache.memo_hits + serial.cache.memo_misses
+        expected_reports = [
+            report
+            for design in self.POINTS
+            for report in serial.evaluate([design]).reports()
+        ]
+        assert attributions == expected
+        assert reports == expected_reports
+        cache = shared.cache
+        assert cache.memo_hits + cache.memo_misses == searched + len(self.POINTS)
 
 
 class TestEngineVectorization:

@@ -1,8 +1,11 @@
 """Tests for run manifests and the append-only run ledger."""
 
 import json
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,8 +74,13 @@ class TestCapture:
         assert a.run_id != b.run_id
 
     def test_git_state_in_checkout(self):
-        state = git_state("/root/repo")
-        assert state["sha"] is None or len(state["sha"]) == 40
+        root = Path(__file__).resolve().parents[2]
+        state = git_state(root)
+        if (root / ".git").exists() and shutil.which("git"):
+            assert re.fullmatch(r"[0-9a-f]{40}", state["sha"]), state
+            assert isinstance(state["dirty"], bool), state
+        else:  # an unpacked sdist, or no git binary
+            assert state["sha"] is None or len(state["sha"]) == 40
 
     def test_git_state_outside_checkout(self, tmp_path):
         state = git_state(tmp_path)

@@ -571,16 +571,18 @@ class TestWorkRunsWhereItCostsLeast:
 
     @pytest.fixture
     def attributions(self, monkeypatch):
-        from repro.accel.engine import SweepEngine
+        """The keyword arguments of every ``attribute_gains`` call the
+        ``/attribute`` handler makes."""
+        import repro.accel.attribution as attribution
 
         calls = []
-        attribute_all = SweepEngine.attribute_all
+        attribute_gains = attribution.attribute_gains
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(kwargs)
-            return attribute_all(self, *args, **kwargs)
+            return attribute_gains(*args, **kwargs)
 
-        monkeypatch.setattr(SweepEngine, "attribute_all", counting)
+        monkeypatch.setattr(attribution, "attribute_gains", counting)
         return calls
 
     def test_short_misses_do_not_use_the_thread_pool(
@@ -628,6 +630,38 @@ class TestWorkRunsWhereItCostsLeast:
             assert status == 200
             assert again.partition('"data": ')[2] == first.partition('"data": ')[2]
         assert len(blocking_calls) == 1 and len(attributions) == 1
+
+    def test_attribute_searches_on_the_evaluate_evaluator(
+        self, client, server, attributions
+    ):
+        from repro.accel.attribution import attribute_gains
+        from repro.workloads import build_kernel
+
+        # Nodes no other test asks for, so both attributions are misses.
+        nodes = {"node_nm": 10.0, "baseline_node_nm": 32.0}
+        metrics = ("throughput", "energy_efficiency")
+        assert client.post("/evaluate", {"workload": "GMM"})[0] == 200
+        answers = {}
+        for metric in metrics:
+            status, payload, _ = client.post(
+                "/attribute", {"workload": "GMM", "metric": metric, **nodes}
+            )
+            assert status == 200
+            answers[metric] = payload["data"]
+        evaluator = server.app.batch_evaluator("GMM")
+        assert len(attributions) == 2
+        assert all(call["batch"] is evaluator for call in attributions)
+        # Counted too, but after the assertions above: no batch, so fresh.
+        kernel = build_kernel("GMM")
+        for metric in metrics:
+            expected = attribute_gains(kernel, metric, **nodes)
+            assert answers[metric] == {
+                "workload": kernel.name,
+                "metric": metric,
+                "total_gain": expected.total_gain,
+                "csr": expected.csr,
+                "shares": expected.shares,
+            }
 
     def test_without_the_response_cache_every_attribute_computes(
         self, attributions
@@ -777,18 +811,36 @@ class TestRequestHead:
     HEAD = b"GET /healthz HTTP/1.1\r\nHost: a\r\nX-Client-Id: c\r\nAccept: */*\r\n\r\n"
 
     def test_one_timeout_per_request(self, monkeypatch):
-        timeouts = []
-        wait_for = asyncio.wait_for
+        import repro.serve.app as app_module
 
-        async def counting(awaitable, timeout):
-            timeouts.append(timeout)
-            return await wait_for(awaitable, timeout)
+        timers = []
+        call_later = asyncio.BaseEventLoop.call_later
 
-        monkeypatch.setattr(asyncio, "wait_for", counting)
-        results = _read_requests(self.HEAD * 3, 4)
+        def counting(loop, delay, callback, *args, **kwargs):
+            timer = call_later(loop, delay, callback, *args, **kwargs)
+            if delay == app_module.IDLE_TIMEOUT_S:
+                timers.append(timer)
+            return timer
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_later", counting)
+
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(self.HEAD * 3)
+            reader.feed_eof()
+            app = ServeApp()
+            results = []
+            for _ in range(4):
+                results.append(await app._read_request(reader, "peer"))
+                # Each read's timer is cancelled once that read ends.
+                assert len(timers) == len(results)
+                assert timers[-1].cancelled()
+            return results
+
+        results = asyncio.run(read())
         assert [request.path for request, _ in results[:3]] == ["/healthz"] * 3
         assert results[3] == (None, False)
-        assert len(timeouts) == 4
+        assert len(timers) == 4
 
     def test_newline_terminated_head_parses(self):
         head = b"POST /evaluate?x=1 HTTP/1.1\nX-Client-Id: nl\nContent-Length: 2\n\n{}"

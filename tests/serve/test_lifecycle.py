@@ -265,15 +265,17 @@ class TestGracefulDrain:
         # Hold the request's attribution on a gate until the drain began.
         # It runs on the thread pool; a gate on work that runs on the
         # event loop would hold off the drain itself.
-        attribute_all = app.engine.attribute_all
+        import repro.accel.attribution as attribution
+
+        attribute_gains = attribution.attribute_gains
         entered, release = threading.Event(), threading.Event()
 
         def gated(*args, **kwargs):
             entered.set()
             release.wait(60.0)
-            return attribute_all(*args, **kwargs)
+            return attribute_gains(*args, **kwargs)
 
-        monkeypatch.setattr(app.engine, "attribute_all", gated)
+        monkeypatch.setattr(attribution, "attribute_gains", gated)
         results = {}
 
         def request():
